@@ -1,6 +1,9 @@
 #include "codegen.hh"
 
 #include <algorithm>
+#include <bit>
+#include <map>
+#include <mutex>
 
 #include "util/logging.hh"
 
@@ -73,8 +76,7 @@ CodeGenerator::startItem(WorkItem &item)
                                      p.branchFrac + p.fpFrac);
     item.thrBranchRandom = Pcg32::rawThreshold(p.branchRandomFrac);
     item.thrDep = Pcg32::rawThreshold(p.depChance);
-    item.geomIdx =
-        geomTableFor(1.0 / std::max(p.depDistMean, 1.0));
+    item.geom = geomTableFor(1.0 / std::max(p.depDistMean, 1.0));
 
     const Region &code = item.profile.code;
     if (code.size < 64)
@@ -118,14 +120,40 @@ CodeGenerator::startItem(WorkItem &item)
             hot_lines, 0xffffffffULL)));
 }
 
-std::uint32_t
+namespace
+{
+
+/**
+ * The process-wide table for @p p, keyed by its exact bit pattern.
+ * Built under the lock by whichever thread asks first, then never
+ * mutated or freed: map nodes do not move, so the pointer stays
+ * valid and lock-free to read from any thread for the life of the
+ * process.
+ */
+const Pcg32::GeomTable *
+sharedGeomTable(double p)
+{
+    static std::mutex mu;
+    static std::map<std::uint64_t, Pcg32::GeomTable> tables;
+    std::lock_guard<std::mutex> lock(mu);
+    auto [it, inserted] =
+        tables.try_emplace(std::bit_cast<std::uint64_t>(p));
+    if (inserted)
+        it->second = Pcg32::makeGeomTable(p);
+    return &it->second;
+}
+
+} // namespace
+
+const Pcg32::GeomTable *
 CodeGenerator::geomTableFor(double p)
 {
-    for (std::size_t i = 0; i < geomTables.size(); ++i)
-        if (geomTables[i].p == p)
-            return static_cast<std::uint32_t>(i);
-    geomTables.push_back(Pcg32::makeGeomTable(p));
-    return static_cast<std::uint32_t>(geomTables.size() - 1);
+    for (const Pcg32::GeomTable *t : geomTables)
+        if (std::bit_cast<std::uint64_t>(t->p) ==
+            std::bit_cast<std::uint64_t>(p))
+            return t;
+    geomTables.push_back(sharedGeomTable(p));
+    return geomTables.back();
 }
 
 std::uint64_t
@@ -277,7 +305,7 @@ CodeGenerator::lowerCompute(WorkItem &item)
     if (op.cls != OpClass::Load || !chase) {
         if (rng.chanceRaw(item.thrDep)) {
             std::uint32_t d =
-                rng.geometricWith(geomTables[item.geomIdx]);
+                rng.geometricWith(*item.geom);
             op.depDist =
                 static_cast<std::uint8_t>(std::min<std::uint32_t>(
                     d, 255));

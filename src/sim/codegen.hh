@@ -130,8 +130,8 @@ class CodeGenerator
         Pcg32::RangeDraw pcDraw;
         Pcg32::RangeDraw dataDraw;
         Pcg32::RangeDraw hotDraw;
-        /** Index into geomTables for the profile's dep-distance p. */
-        std::uint32_t geomIdx = 0;
+        /** Shared table for the profile's dep-distance p. */
+        const Pcg32::GeomTable *geom = nullptr;
     };
 
     /** Pick a data address for the current item and advance cursors. */
@@ -145,18 +145,21 @@ class CodeGenerator
 
     void startItem(WorkItem &item);
 
-    /** Index of the (built-on-demand) GeomTable for probability p. */
-    std::uint32_t geomTableFor(double p);
+    /** The shared GeomTable for probability p (built on first use). */
+    const Pcg32::GeomTable *geomTableFor(double p);
 
     std::deque<WorkItem> items;
     Pcg32 rng;
     /**
-     * One exact-replay geometric table per distinct dep-distance
-     * probability seen (a handful per run: user profile + service
-     * profiles). Items reference them by index, so re-pushing a
-     * profile every few thousand ops never rebuilds a table.
+     * The exact-replay geometric tables this generator has used, one
+     * per distinct dep-distance probability. A table depends only on
+     * p, so the tables themselves live in one process-wide set that
+     * builds each p once (under a lock, on first use by any thread)
+     * and never mutates or frees it; generators on any thread share
+     * them read-only. This vector is the lock-free first lookup, so
+     * a generator takes the lock once per distinct p it sees.
      */
-    std::vector<Pcg32::GeomTable> geomTables;
+    std::vector<const Pcg32::GeomTable *> geomTables;
     /** Dynamic distance (ops) since the last emitted load, for
      *  pointer-chase dependence chains. */
     std::uint32_t opsSinceLoad = 255;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "sim/codegen.hh"
@@ -285,6 +287,58 @@ TEST(CodeGenerator, NextBlockMatchesNextExactly)
             EXPECT_EQ(got[i].execLat, want[i].execLat) << i;
             EXPECT_EQ(got[i].taken, want[i].taken) << i;
         }
+    }
+}
+
+/** Generators on different threads share the process-wide geometric
+ *  tables. Four threads lower the same plans at once, using
+ *  dep-distance means no other test uses, so their first-use table
+ *  builds race; each thread's op stream must equal a serial
+ *  reference lowered afterwards. */
+TEST(CodeGenerator, ConcurrentFirstUseMatchesSerial)
+{
+    auto lower = [] {
+        CodeGenerator gen(31, 9);
+        for (double mean : {7.25, 9.5, 11.75}) {
+            CodeProfile p = basicProfile();
+            p.depChance = 0.6;
+            p.depDistMean = mean;
+            gen.pushCompute(p, 4000, Region{0x8000, 64 * 1024},
+                            PatternKind::Random);
+        }
+        std::vector<MicroOp> ops;
+        MicroOp buf[64];
+        while (std::size_t n = gen.nextBlock(buf, 64))
+            ops.insert(ops.end(), buf, buf + n);
+        return ops;
+    };
+
+    constexpr int kThreads = 4;
+    std::vector<std::vector<MicroOp>> got(kThreads);
+    std::atomic<int> waiting{kThreads};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            waiting.fetch_sub(1);
+            while (waiting.load() > 0)
+                std::this_thread::yield();
+            got[t] = lower();
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+
+    auto same = [](const MicroOp &a, const MicroOp &b) {
+        return a.pc == b.pc && a.effAddr == b.effAddr &&
+               a.cls == b.cls && a.depDist == b.depDist &&
+               a.execLat == b.execLat && a.taken == b.taken;
+    };
+    std::vector<MicroOp> want = lower();
+    ASSERT_EQ(want.size(), 12000u);
+    for (int t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(got[t].size(), want.size()) << "thread " << t;
+        for (std::size_t i = 0; i < want.size(); ++i)
+            ASSERT_TRUE(same(got[t][i], want[i])) << t << ":" << i;
     }
 }
 

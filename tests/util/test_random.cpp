@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <set>
 #include <vector>
@@ -259,6 +260,81 @@ TEST(Pcg32, GeometricEdgeProbabilities)
     Pcg32 rng(43);
     EXPECT_EQ(rng.geometric(1.0), 1u);
     EXPECT_EQ(rng.geometric(0.0), 1u);
+}
+
+/** The lowering samples dependence distances through geometricWith()
+ *  and a prebuilt table; it must replay geometric(p) draw for draw,
+ *  for every p the code profiles use (1 / depDistMean) and at the
+ *  edges: p < 0.01 (no table, formula fallback), 0.5, 0.999, 1.0. */
+TEST(Pcg32, GeometricWithReplaysGeometric)
+{
+    std::vector<double> ps;
+    for (double mean : {2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0})
+        ps.push_back(1.0 / mean);
+    for (double p : {0.005, 0.5, 0.999, 1.0})
+        ps.push_back(p);
+
+    for (double p : ps) {
+        Pcg32::GeomTable table = Pcg32::makeGeomTable(p);
+        if (p < 0.01 || p >= 1.0)
+            EXPECT_EQ(table.entries, 0u) << "p " << p;
+        else
+            EXPECT_GT(table.entries, 0u) << "p " << p;
+        Pcg32 want(77, 3);
+        Pcg32 got(77, 3);
+        for (int i = 0; i < 200000; ++i)
+            ASSERT_EQ(got.geometricWith(table), want.geometric(p))
+                << "p " << p << " draw " << i;
+        // Same number of raw draws consumed (none at p = 1).
+        EXPECT_EQ(got.next(), want.next()) << "p " << p;
+    }
+}
+
+/** Random draws almost never land exactly on a table boundary, so
+ *  check the table's entries against geometric()'s expression at
+ *  every boundary and bucket edge. */
+TEST(Pcg32, GeomTableMatchesFormulaAtEveryEdge)
+{
+    for (double mean : {2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0, 2.0,
+                        1.001}) {
+        const double p = 1.0 / mean;
+        const Pcg32::GeomTable t = Pcg32::makeGeomTable(p);
+        const double denom = std::log(1.0 - p);
+        auto formula = [&](std::uint64_t r) {
+            double u = static_cast<double>(r) * (1.0 / 4294967296.0);
+            if (u <= 0.0)
+                u = 1e-12;
+            return 1 + static_cast<std::uint32_t>(std::log(u) / denom);
+        };
+        ASSERT_GT(t.entries, 0u) << "p " << p;
+        for (std::uint32_t k = 1; k <= t.entries; ++k) {
+            std::uint64_t b = t.boundary[k - 1];
+            EXPECT_EQ(formula(b), k) << "p " << p << " k " << k;
+            EXPECT_EQ(formula(b - 1), k + 1) << "p " << p << " k " << k;
+        }
+        int covered = 0;
+        for (std::uint64_t i = 0; i < Pcg32::GeomTable::kBuckets; ++i) {
+            std::uint64_t e = t.bucket[i];
+            if (!e)
+                continue;
+            ++covered;
+            std::uint32_t d = static_cast<std::uint32_t>(e & 0xff);
+            std::uint64_t b = e >> 32;
+            std::uint64_t lo = i << 24;
+            std::uint64_t hi = ((i + 1) << 24) - 1;
+            EXPECT_EQ(formula(hi), d) << "p " << p << " bucket " << i;
+            if (b) {
+                EXPECT_EQ(formula(b), d) << "p " << p << " bucket " << i;
+                EXPECT_EQ(formula(b - 1), d + 1)
+                    << "p " << p << " bucket " << i;
+                EXPECT_EQ(formula(lo), d + 1)
+                    << "p " << p << " bucket " << i;
+            } else {
+                EXPECT_EQ(formula(lo), d) << "p " << p << " bucket " << i;
+            }
+        }
+        EXPECT_GT(covered, 0) << "p " << p;
+    }
 }
 
 } // namespace

@@ -27,6 +27,14 @@ simulator's hot path:
 Each ratio must lie within a multiplicative factor `ratio_tol` of
 the baseline value (band [base / tol, base * tol]).
 
+  - osheavy_emulate_over_ooo = osheavy_emulate_mips /
+                               osheavy_ooo_mips
+    Table 1's R on ab-rand, an OS-heavy workload, where emulation
+    must be an order of magnitude cheaper than detailed simulation.
+    gzip barely enters the kernel, so the gzip ratios above cannot
+    see OS-side emulation cost. This one gets a hard floor
+    (`osheavy_floor`), not a band.
+
 Regenerate the baseline (after an intentional hot-path change), on a
 quiet machine with a Release (-O3) build:
 
@@ -58,6 +66,10 @@ BLOCK_FLOOR = 1.0
 # gets a hard floor, not a tolerance band: median >= 3 is exactly
 # ">= 3x shrink on at least 3 of the 5 workloads".
 SAMPLED_FLOOR = 3.0
+# Emulate over OooCache throughput on whole ab-rand runs. It
+# measured ~3 while every OS service rebuilt its geometric tables
+# and ~44 once they were built once per process (smoke, Release).
+OSHEAVY_FLOOR = 10.0
 
 RATIOS = {
     "block_speedup": ("emulate_block_mips", "emulate_perop_mips"),
@@ -129,6 +141,8 @@ def main():
         }
         if "sampled_vs_full_speedup" in metrics:
             baseline["sampled_floor"] = SAMPLED_FLOOR
+        if "osheavy_emulate_mips" in metrics:
+            baseline["osheavy_floor"] = OSHEAVY_FLOOR
         with open(args.baseline, "w") as f:
             json.dump(baseline, f, indent=2, sort_keys=True)
             f.write("\n")
@@ -175,6 +189,18 @@ def main():
         if fraction is None or not fraction < 1.0:
             fail(f"sampled_detailed_fraction {fraction!r} must be "
                  f"below 1.0 — sampled runs are not skipping work")
+
+    if "osheavy_floor" in want:
+        emu = metrics.get("osheavy_emulate_mips")
+        ooo = metrics.get("osheavy_ooo_mips")
+        if emu is None or ooo is None:
+            fail("osheavy_floor needs osheavy_emulate_mips and "
+                 "osheavy_ooo_mips")
+        r = emu / ooo
+        if r < want["osheavy_floor"]:
+            fail(f"osheavy_emulate_over_ooo {r:.3f} fell below the "
+                 f"floor {want['osheavy_floor']} — emulating OS "
+                 f"services is nearly as slow as simulating them")
 
     print(f"perf baseline: OK ({len(want['ratios'])} ratios within "
           f"x{tol} of baseline; block_speedup "
