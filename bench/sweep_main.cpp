@@ -12,44 +12,29 @@
  * for any --threads value at the same seed — CI runs the smoke
  * sweep at 1 and N threads and diffs the two files.
  *
- * Distributed execution over a shared --store (the claim/lease
- * protocol of driver/claim_executor.hh):
+ * With --store DIR every executed cell is recorded in a directory
+ * of content-addressed files (src/driver/store_dir.hh);
+ * --incremental replays them instead of re-simulating:
  *
- *   sweep table2 --store s.db --jobs 3 --out results.json
- *       fork 3 local worker processes, wait for the fleet, then
- *       assemble — one command, same bytes as --threads runs.
- *   sweep table2 --store s.db --worker --owner w1
- *       one claim-loop worker; run any number of these on the same
- *       store, from any mix of terminals on one host (flock(2)
- *       arbitration is host-local — network filesystems are not
- *       supported; see EXPERIMENTS.md "Distributed sweeps").
- *   sweep table2 --store s.db --assemble --out results.json
- *       replay every cached cell into the final document (cells no
- *       worker finished are executed locally; cells that exhausted
- *       their retries are marked failed from the claim table).
+ *   sweep table2 --store s --out cold.json
+ *   sweep table2 --store s --incremental --out warm.json
+ *   cmp cold.json warm.json
  */
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <vector>
-
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "bench_json.hh"
 #include "common.hh"
 #include "driver/cell_cache.hh"
-#include "driver/claim_executor.hh"
 #include "driver/experiments.hh"
-#include "driver/fleet.hh"
+#include "driver/store_dir.hh"
 #include "driver/sweep.hh"
-#include "store/plt_archive.hh"
 #include "util/hash.hh"
 
 #include "osp_code_fingerprint.hh"
@@ -100,15 +85,16 @@ usage(int code)
           "tools/check_perf_baseline.py)\n"
           "  --log-level {silent,warn,inform}\n"
           "                 global verbosity (default inform)\n"
-          "  --store PATH   persistent result store: record every "
+          "  --store DIR    persistent result store: a directory "
+          "(created if absent) holding one checksummed file per "
           "executed cell, content-addressed by its expanded spec, "
           "seed and the simulator code fingerprint\n"
           "  --incremental  reuse cells cached in --store instead "
           "of re-simulating them (results are byte-identical to a "
-          "cold run)\n"
+          "cold run; a torn or corrupt file is a miss)\n"
           "  --store-stats PATH\n"
-          "                 write the volatile cache/store "
-          "statistics document ('-' for stdout; requires --store)\n"
+          "                 write the volatile cache statistics "
+          "document ('-' for stdout; requires --store)\n"
           "  --plt {save,warm,warm,save}\n"
           "                 archive learned PLT profiles into the "
           "store (save) and/or warm-start predictors from archived "
@@ -116,61 +102,7 @@ usage(int code)
           "cache identity)\n"
           "  --fingerprint STR\n"
           "                 override the built-in code fingerprint "
-          "(testing)\n"
-          "  --store-wait MS\n"
-          "                 wait up to MS ms for another read-write "
-          "handle to release the store instead of failing "
-          "immediately (requires --store)\n"
-          "\n"
-          "distributed execution (all require --store):\n"
-          "  --jobs N       fork N worker processes that claim "
-          "cells from the shared store, then assemble the results "
-          "document (byte-identical to a single-process run)\n"
-          "  --worker       run one claim-loop worker process and "
-          "exit (no results document; combine with --store-stats)\n"
-          "  --assemble     assemble the results document from "
-          "cached cells and the claim table (implies "
-          "--incremental)\n"
-          "  --owner ID     worker id recorded in claim records "
-          "(default: pid<pid>)\n"
-          "  --lease-ticks N\n"
-          "                 heartbeats before an idle claim is "
-          "reclaimable (default 64)\n"
-          "  --max-retries N\n"
-          "                 attempts before a cell is marked failed "
-          "(default 3)\n"
-          "  --poll-ms MS   initial idle-poll sleep while other "
-          "workers hold leases (default 50)\n"
-          "  --refresh-ms MS\n"
-          "                 lease-refresh period while a cell "
-          "executes (default 200; 0 disables)\n"
-          "  --kill-after-claim\n"
-          "                 crash-test seam: SIGKILL after the "
-          "first claim commits (--worker: ourselves; --jobs: the "
-          "first forked worker becomes the victim)\n"
-          "\n"
-          "fleet observability (all require --store; see "
-          "EXPERIMENTS.md \"Monitoring distributed sweeps\"):\n"
-          "  --monitor      poll the store read-only and render "
-          "live fleet status until the sweep completes (pass the "
-          "same --trace/--plt/--fingerprint flags as the fleet so "
-          "cell identities match)\n"
-          "  --monitor-interval MS\n"
-          "                 poll period (default 500)\n"
-          "  --monitor-max N\n"
-          "                 stop after N polls even if incomplete "
-          "(default 0 = until complete)\n"
-          "  --fleet-report PATH\n"
-          "                 write the deterministic "
-          "ospredict-fleet-v1 worker-telemetry report ('-' for "
-          "stdout)\n"
-          "  --fleet-prom PATH\n"
-          "                 write the same view as Prometheus text "
-          "exposition ('-' for stdout)\n"
-          "\n"
-          "with --jobs/--assemble, --trace writes the *merged* "
-          "timeline: every cell's lanes plus one lane per worker "
-          "pid\n";
+          "(testing)\n";
     return code;
 }
 
@@ -225,83 +157,6 @@ parseSampleSpec(const std::string &text, osp::SampleParams &out)
     return true;
 }
 
-/**
- * The body of one worker process (--worker, and each --jobs
- * child): open the store in shared mode, run the claim loop, and
- * optionally dump the per-worker stats document.
- */
-int
-runWorkerProcess(const osp::SweepSpec &spec,
-                 const std::string &store_path,
-                 const std::string &fingerprint, bool plt_warm,
-                 osp::WorkerOptions wopts,
-                 const std::string &stats_path)
-{
-    using namespace osp;
-    try {
-        store::StoreOptions sopts;
-        sopts.shared = true;
-        std::unique_ptr<store::PageStore> pstore =
-            store::PageStore::open(store_path, sopts);
-        CellCache cache(*pstore, fingerprint);
-        std::map<std::string, std::string> warm_profiles;
-        if (plt_warm) {
-            store::PltArchive archive(*pstore);
-            for (const std::string &w : spec.workloads) {
-                std::optional<std::string> profile =
-                    archive.load(w);
-                if (!profile)
-                    continue;
-                cache.setWarmProfileHash(w,
-                                         stableHash64(*profile));
-                warm_profiles.emplace(w, std::move(*profile));
-            }
-        }
-        if (!warm_profiles.empty())
-            wopts.warmProfiles = &warm_profiles;
-
-        WorkerStats stats = runSweepWorker(spec, cache, wopts);
-
-        if (!stats_path.empty()) {
-            JsonValue doc = cache.statsToJson();
-            doc.add("worker",
-                    workerStatsToJson(stats, wopts.owner));
-            std::ofstream ss(stats_path);
-            if (!ss) {
-                std::cerr << "sweep: cannot write " << stats_path
-                          << "\n";
-                return 1;
-            }
-            doc.write(ss, 2);
-            ss << "\n";
-        }
-        std::cerr << "sweep worker " << wopts.owner << ": claimed "
-                  << stats.claimed << ", committed "
-                  << stats.committed << ", reclaimed "
-                  << stats.reclaimed << ", lost "
-                  << stats.lostLeases << "\n";
-        return 0;
-    } catch (const std::exception &e) {
-        std::cerr << "sweep worker " << wopts.owner << ": "
-                  << e.what() << "\n";
-        return 1;
-    }
-}
-
-/** The sweep's cell keys in index order — the same identity every
- *  worker computes, so fleet aggregation finds their results. */
-std::vector<std::string>
-cellKeysFor(const osp::SweepSpec &spec, osp::CellCache &cache,
-            std::size_t trace_capacity)
-{
-    std::vector<osp::SweepCell> cells = osp::expandSweep(spec);
-    std::vector<std::string> keys(cells.size());
-    for (const osp::SweepCell &cell : cells)
-        keys[cell.index] =
-            cache.cellKey(spec, cell, trace_capacity);
-    return keys;
-}
-
 } // namespace
 
 int
@@ -326,17 +181,6 @@ main(int argc, char **argv)
     std::uint64_t seed = experimentSeed;
     unsigned threads = 0;
     bool timing = true;
-    unsigned jobs = 0;
-    bool worker_mode = false;
-    bool assemble = false;
-    bool monitor = false;
-    long monitor_interval_ms = 500;
-    std::uint64_t monitor_max = 0;
-    std::string fleet_report_path;
-    std::string fleet_prom_path;
-    long store_wait_ms = 0;
-    WorkerOptions wopts;
-    wopts.owner = "pid" + std::to_string(::getpid());
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -406,45 +250,6 @@ main(int argc, char **argv)
             }
         } else if (arg == "--fingerprint" && i + 1 < argc) {
             fingerprint = argv[++i];
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-            if (jobs == 0) {
-                std::cerr << "sweep: --jobs wants N >= 1\n";
-                return usage(2);
-            }
-        } else if (arg == "--worker") {
-            worker_mode = true;
-        } else if (arg == "--assemble") {
-            assemble = true;
-        } else if (arg == "--owner" && i + 1 < argc) {
-            wopts.owner = argv[++i];
-        } else if (arg == "--lease-ticks" && i + 1 < argc) {
-            wopts.leaseTicks =
-                std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--max-retries" && i + 1 < argc) {
-            wopts.maxRetries =
-                std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--poll-ms" && i + 1 < argc) {
-            wopts.pollMs = std::strtol(argv[++i], nullptr, 10);
-        } else if (arg == "--refresh-ms" && i + 1 < argc) {
-            wopts.refreshMs =
-                std::strtol(argv[++i], nullptr, 10);
-        } else if (arg == "--kill-after-claim") {
-            wopts.killAfterFirstClaim = true;
-        } else if (arg == "--monitor") {
-            monitor = true;
-        } else if (arg == "--monitor-interval" && i + 1 < argc) {
-            monitor_interval_ms =
-                std::strtol(argv[++i], nullptr, 10);
-        } else if (arg == "--monitor-max" && i + 1 < argc) {
-            monitor_max = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--fleet-report" && i + 1 < argc) {
-            fleet_report_path = argv[++i];
-        } else if (arg == "--fleet-prom" && i + 1 < argc) {
-            fleet_prom_path = argv[++i];
-        } else if (arg == "--store-wait" && i + 1 < argc) {
-            store_wait_ms = std::strtol(argv[++i], nullptr, 10);
         } else if (arg == "--seed" && i + 1 < argc) {
             seed = std::strtoull(argv[++i], nullptr, 10);
         } else if (!arg.empty() && arg[0] != '-' && name.empty()) {
@@ -471,174 +276,34 @@ main(int argc, char **argv)
                      "require --store\n";
         return usage(2);
     }
-    if (store_path.empty() &&
-        (jobs > 0 || worker_mode || assemble || monitor ||
-         !fleet_report_path.empty() || !fleet_prom_path.empty() ||
-         store_wait_ms > 0)) {
-        std::cerr << "sweep: --jobs/--worker/--assemble/--monitor/"
-                     "--fleet-report/--fleet-prom/--store-wait "
-                     "require --store\n";
-        return usage(2);
-    }
-    if ((jobs > 0) + (worker_mode ? 1 : 0) + (assemble ? 1 : 0) +
-            (monitor ? 1 : 0) >
-        1) {
-        std::cerr << "sweep: --jobs, --worker, --assemble and "
-                     "--monitor are mutually exclusive\n";
-        return usage(2);
-    }
-    if (assemble)
-        incremental = true;
-
     SweepSpec spec = makeNamedSweep(name, bench::smokeFactor(),
                                     bench::smokeMode());
     spec.baseSeed = seed;
-    // Applied before any fork: --jobs workers inherit the spec, so
-    // fleet, --worker and assembly all simulate the same backend.
     setSweepBackend(spec, backend);
-    // Likewise pre-fork, so every execution path (including cell
-    // identity hashing) sees the same sampled modes and knobs.
     if (sample.enabled)
         applySweepSampling(spec, sample);
-
-    if (worker_mode) {
-        wopts.traceCapacity = trace_path.empty() ? 0 : 4096;
-        return runWorkerProcess(spec, store_path, fingerprint,
-                                plt_warm, wopts,
-                                store_stats_path);
-    }
-
-    if (monitor) {
-        // Each poll re-opens the store read-only: the open picks
-        // the newest valid meta page atomically, so every rendering
-        // is one crash-consistent snapshot of a live fleet, and the
-        // monitor never contends for the transaction gate.
-        std::size_t cap = trace_path.empty() ? 0 : 4096;
-        std::uint64_t polls = 0;
-        for (;;) {
-            bool complete = false;
-            try {
-                store::StoreOptions sopts;
-                sopts.readOnly = true;
-                std::unique_ptr<store::PageStore> ps =
-                    store::PageStore::open(store_path, sopts);
-                CellCache mcache(*ps, fingerprint);
-                if (plt_warm) {
-                    store::PltArchive archive(*ps);
-                    for (const std::string &w : spec.workloads) {
-                        std::optional<std::string> profile =
-                            archive.load(w);
-                        if (profile)
-                            mcache.setWarmProfileHash(
-                                w, stableHash64(*profile));
-                    }
-                }
-                FleetView view = readFleetView(
-                    *ps, fingerprint,
-                    cellKeysFor(spec, mcache, cap));
-                view.sweep = spec.name;
-                renderFleetStatus(std::cout, view,
-                                  wopts.leaseTicks);
-                warnFleetDrops(view);
-                complete = view.cells.outstanding() == 0;
-            } catch (const std::exception &e) {
-                std::cout << "monitor: " << e.what()
-                          << " (waiting)\n";
-            }
-            std::cout.flush();
-            ++polls;
-            if (complete)
-                return 0;
-            if (monitor_max && polls >= monitor_max)
-                return 0;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(monitor_interval_ms));
-        }
-    }
-
-    double fleet_seconds = 0.0;
-    if (jobs > 0) {
-        // Fork the fleet before opening the store: flock(2) state
-        // is shared across fork, so the parent must not hold any
-        // handle the children would inherit. Each child opens the
-        // store itself in shared mode.
-        auto fleet_start = std::chrono::steady_clock::now();
-        std::vector<pid_t> pids;
-        for (unsigned k = 0; k < jobs; ++k) {
-            pid_t pid = ::fork();
-            if (pid < 0) {
-                std::cerr << "sweep: fork failed\n";
-                return 1;
-            }
-            if (pid == 0) {
-                WorkerOptions w = wopts;
-                w.owner = wopts.owner + "-w" +
-                          std::to_string(k + 1);
-                // --kill-after-claim elects the first worker as
-                // the crash victim; the survivors reclaim its
-                // lease and CI asserts the victim's published
-                // fleet snapshot outlived it.
-                w.killAfterFirstClaim =
-                    wopts.killAfterFirstClaim && k == 0;
-                w.traceCapacity = trace_path.empty() ? 0 : 4096;
-                std::string stats_path =
-                    store_stats_path.empty() ||
-                            store_stats_path == "-"
-                        ? std::string()
-                        : store_stats_path + ".w" +
-                              std::to_string(k + 1);
-                int code = runWorkerProcess(spec, store_path,
-                                            fingerprint, plt_warm,
-                                            w, stats_path);
-                ::_exit(code);
-            }
-            pids.push_back(pid);
-        }
-        unsigned failed_workers = 0;
-        for (pid_t pid : pids) {
-            int status = 0;
-            if (::waitpid(pid, &status, 0) < 0 ||
-                !WIFEXITED(status) || WEXITSTATUS(status) != 0)
-                ++failed_workers;
-        }
-        auto fleet_end = std::chrono::steady_clock::now();
-        fleet_seconds = std::chrono::duration<double>(fleet_end -
-                                                      fleet_start)
-                            .count();
-        if (failed_workers > 0) {
-            // Assembly recovers whatever the fleet did finish (and
-            // executes the rest locally), so a dead worker is a
-            // warning, not an error.
-            std::cerr << "sweep: " << failed_workers << " of "
-                      << jobs << " worker(s) failed; assembling "
-                      << "from what was committed\n";
-        }
-        // The remainder of main() is the assembly pass.
-        assemble = true;
-        incremental = true;
-    }
 
     RunnerOptions opts;
     opts.threads = threads;
     if (!trace_path.empty())
         opts.traceCapacity = 4096;
-    opts.claimAware = assemble;
 
-    std::unique_ptr<store::PageStore> pstore;
+    std::filesystem::path store_dir;
     std::unique_ptr<CellCache> cache;
     std::map<std::string, std::string> warm_profiles;
     if (!store_path.empty()) {
         try {
-            store::StoreOptions sopts;
-            sopts.lockWaitMs = store_wait_ms;
-            pstore = store::PageStore::open(store_path, sopts);
+            store_dir = openStoreDir(store_path);
+            cache = std::make_unique<CellCache>(store_dir, fingerprint);
+        } catch (const RemovedStoreFormat &e) {
+            std::cerr << "sweep: " << e.what() << "\n";
+            return 2;
         } catch (const std::exception &e) {
             std::cerr << "sweep: " << e.what() << "\n";
             return 1;
         }
-        cache = std::make_unique<CellCache>(*pstore, fingerprint);
         if (plt_warm) {
-            store::PltArchive archive(*pstore);
+            PltArchive archive(store_dir);
             for (const std::string &w : spec.workloads) {
                 std::optional<std::string> profile =
                     archive.load(w);
@@ -664,7 +329,6 @@ main(int argc, char **argv)
         std::cerr << "sweep: " << e.what() << "\n";
         return 1;
     }
-    result.workerProcesses = jobs;
 
     JsonOptions jopts;
     jopts.includeTiming = timing;
@@ -680,22 +344,6 @@ main(int argc, char **argv)
         writeResultsJson(os, result, jopts);
     }
 
-    // Aggregate the fleet keyspace once for every consumer below:
-    // the merged trace, --fleet-report and --fleet-prom all read
-    // the same view, and dropped-trace warnings are re-issued here
-    // with per-owner attribution (the in-process warning died with
-    // the worker).
-    std::optional<FleetView> fleet_view;
-    if (!store_path.empty() &&
-        (assemble || !fleet_report_path.empty() ||
-         !fleet_prom_path.empty())) {
-        fleet_view.emplace(readFleetView(
-            *pstore, fingerprint,
-            cellKeysFor(spec, *cache, opts.traceCapacity)));
-        fleet_view->sweep = spec.name;
-        warnFleetDrops(*fleet_view);
-    }
-
     if (!trace_path.empty()) {
         std::ofstream ts(trace_path);
         if (!ts) {
@@ -703,48 +351,8 @@ main(int argc, char **argv)
                       << "\n";
             return 1;
         }
-        if (fleet_view && !fleet_view->workers.empty()) {
-            writeMergedChromeTrace(ts, result, *fleet_view);
-            std::cerr << "sweep: merged trace ("
-                      << fleet_view->workers.size()
-                      << " worker lane(s)) -> " << trace_path
-                      << "\n";
-        } else {
-            writeChromeTrace(ts, result);
-            std::cerr << "sweep: trace -> " << trace_path << "\n";
-        }
-    }
-
-    if (!fleet_report_path.empty()) {
-        if (fleet_report_path == "-") {
-            writeFleetReport(std::cout, *fleet_view);
-        } else {
-            std::ofstream fs(fleet_report_path);
-            if (!fs) {
-                std::cerr << "sweep: cannot write "
-                          << fleet_report_path << "\n";
-                return 1;
-            }
-            writeFleetReport(fs, *fleet_view);
-            std::cerr << "sweep: fleet report -> "
-                      << fleet_report_path << "\n";
-        }
-    }
-
-    if (!fleet_prom_path.empty()) {
-        if (fleet_prom_path == "-") {
-            writePrometheusReport(std::cout, *fleet_view);
-        } else {
-            std::ofstream fs(fleet_prom_path);
-            if (!fs) {
-                std::cerr << "sweep: cannot write "
-                          << fleet_prom_path << "\n";
-                return 1;
-            }
-            writePrometheusReport(fs, *fleet_view);
-            std::cerr << "sweep: fleet prometheus -> "
-                      << fleet_prom_path << "\n";
-        }
+        writeChromeTrace(ts, result);
+        std::cerr << "sweep: trace -> " << trace_path << "\n";
     }
 
     if (!accuracy_path.empty()) {
@@ -766,24 +374,10 @@ main(int argc, char **argv)
     if (!bench_json_path.empty()) {
         // Wall-clock of the whole sweep: the end-to-end hot-path
         // number the perf gate tracks alongside the microbench
-        // component rates. A --jobs run reports under jobs-tagged
-        // names — the fleet time (fork to last exit) is the
-        // multi-process scaling headline — so single- and
-        // multi-process rows coexist in one document.
-        std::vector<bench::BenchMetric> metrics;
-        if (jobs > 0) {
-            std::string tag =
-                "sweep_" + spec.name + "_jobs" +
-                std::to_string(jobs);
-            metrics.push_back(
-                {tag + "_fleet_seconds", fleet_seconds, "s"});
-            metrics.push_back(
-                {tag + "_wall_seconds", result.wallSeconds, "s"});
-        } else {
-            metrics.push_back(
-                {"sweep_" + spec.name + "_wall_seconds",
-                 result.wallSeconds, "s"});
-        }
+        // component rates.
+        std::vector<bench::BenchMetric> metrics = {
+            {"sweep_" + spec.name + "_wall_seconds",
+             result.wallSeconds, "s"}};
         if (!bench::mergeBenchJson(bench_json_path, spec.smoke,
                                    metrics)) {
             return 1;
@@ -797,7 +391,7 @@ main(int argc, char **argv)
         // accelerated, non-failed cell in index order (cached
         // cells round-trip their profile, so warm runs re-archive
         // the same bytes).
-        store::PltArchive archive(*pstore);
+        PltArchive archive(store_dir);
         std::uint64_t archived = 0;
         for (const std::string &w : spec.workloads) {
             for (const CellResult &r : result.cells) {

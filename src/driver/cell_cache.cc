@@ -1,7 +1,10 @@
 #include "cell_cache.hh"
 
+#include <stdexcept>
+#include <system_error>
+
 #include "cell_io.hh"
-#include "store/claim_table.hh"
+#include "store_dir.hh"
 #include "util/hash.hh"
 
 namespace osp
@@ -10,7 +13,13 @@ namespace osp
 namespace
 {
 
-constexpr std::string_view cellPrefix = "cell/";
+namespace fs = std::filesystem;
+
+constexpr std::string_view cellDir = "cell";
+
+// Folded into every cell key since the first persistent store, so
+// keys (and the results document's store section) stay stable.
+constexpr std::uint32_t storeVersion = 1;
 
 JsonValue
 relearnContext(const RelearnParams &p)
@@ -107,10 +116,15 @@ machineContext(const MachineConfig &cfg)
 
 } // namespace
 
-CellCache::CellCache(store::PageStore &store,
-                     std::string code_fingerprint)
-    : store_(store), fingerprint_(std::move(code_fingerprint))
+CellCache::CellCache(fs::path store, std::string code_fingerprint)
+    : store_(std::move(store)), fingerprint_(std::move(code_fingerprint))
 {
+    // The fingerprint names a directory: one plain component, so a
+    // commit's eviction pass sees every fingerprint as a sibling.
+    if (fingerprint_.empty() || fingerprint_.front() == '.' ||
+        fingerprint_.find('/') != std::string::npos)
+        throw std::invalid_argument("bad code fingerprint '" +
+                                    fingerprint_ + "'");
 }
 
 void
@@ -131,7 +145,7 @@ CellCache::cellKey(const SweepSpec &spec, const SweepCell &cell,
     // guarantee for canonical bytes.
     JsonValue ctx = JsonValue::object();
     ctx.add("schema", cellSchema);
-    ctx.add("store_version", store::storeVersion);
+    ctx.add("store_version", storeVersion);
     ctx.add("fingerprint", fingerprint_);
     ctx.add("trace_capacity",
             static_cast<std::uint64_t>(trace_capacity));
@@ -172,45 +186,20 @@ CellCache::cellKey(const SweepSpec &spec, const SweepCell &cell,
     return StableHash().str(ctx.dump(-1)).hex();
 }
 
-std::string
-CellCache::storeKey(const std::string &cell_key) const
+fs::path
+CellCache::cellPath(const std::string &cell_key) const
 {
-    std::string k(cellPrefix);
-    k += fingerprint_;
-    k += '/';
-    k += cell_key;
-    return k;
+    return store_ / cellDir / fingerprint_ / cell_key;
 }
 
 std::optional<CellResult>
-CellCache::fetch(const std::string &cell_key,
-                 const SweepCell &cell, bool claim_aware)
+CellCache::fetch(const std::string &cell_key, const SweepCell &cell)
 {
     auto &hits = registry_.counter("cell_cache", "hits");
     auto &misses = registry_.counter("cell_cache", "misses");
 
-    std::optional<std::string> value;
-    std::optional<store::ClaimRecord> claim;
-    {
-        store::ReadTx read = store_.beginRead();
-        value = read.get(storeKey(cell_key));
-        if (!value && claim_aware)
-            claim = store::ClaimTable(fingerprint_)
-                        .get(read, cell_key);
-    }
+    std::optional<std::string> value = readSealedFile(cellPath(cell_key));
     if (!value) {
-        // Assembly replays exhausted failures from the claim table:
-        // workers never cache a failed result, but the final
-        // document must mark the cell failed exactly as a
-        // single-process run would have.
-        if (claim && claim->state == store::ClaimState::Failed) {
-            CellResult failed;
-            failed.cell = cell;
-            failed.failed = true;
-            failed.error = claim->error;
-            registry_.counter("cell_cache", "failed_replays").inc();
-            return failed;
-        }
         misses.inc();
         return std::nullopt;
     }
@@ -248,65 +237,38 @@ CellCache::commitResults(
     const std::vector<std::pair<std::string, const CellResult *>>
         &items)
 {
-    // One pass, one transaction: stale-fingerprint eviction and
-    // this sweep's inserts commit (or fail) together. The claim
-    // keyspaces age out with the cells they coordinated.
-    std::vector<std::string> stale;
-    {
-        // cell/ and claim/ hold many keys per fingerprint, so the
-        // live set is a prefix; claimhb/ holds exactly one key per
-        // fingerprint, so it is matched exactly (a prefix test
-        // would let a fingerprint that merely extends ours escape
-        // eviction).
-        struct Family
-        {
-            std::string prefix, live;
-            bool exact;
-        };
-        const Family families[] = {
-            {std::string(cellPrefix),
-             std::string(cellPrefix) + fingerprint_ + "/", false},
-            {"claim/", "claim/" + fingerprint_ + "/", false},
-            {"claimhb/", "claimhb/" + fingerprint_, true},
-            {"fleet/", "fleet/" + fingerprint_ + "/", false},
-        };
-        store::ReadTx read = store_.beginRead();
-        for (const Family &family : families) {
-            read.scan(family.prefix, [&](std::string_view k,
-                                         std::string_view) {
-                bool is_live =
-                    family.exact
-                        ? k == family.live
-                        : k.compare(0, family.live.size(),
-                                    family.live) == 0;
-                if (!is_live)
-                    stale.emplace_back(k);
-                return true;
-            });
-        }
-    }
-
     std::uint64_t bytes = 0;
-    store::WriteTx tx = store_.beginWrite();
-    for (const std::string &k : stale)
-        tx.erase(k);
-    std::uint64_t inserts = 0;
     for (const auto &[cell_key, result] : items) {
         std::string value = encodeCellResult(*result);
         bytes += value.size();
-        tx.put(storeKey(cell_key), value);
-        ++inserts;
+        writeSealedFile(cellPath(cell_key), value);
     }
-    tx.commit();
 
-    registry_.counter("cell_cache", "inserts").inc(inserts);
-    registry_.counter("cell_cache", "evictions")
-        .inc(stale.size());
+    // Other fingerprints' results can never hit again: delete them.
+    std::vector<fs::path> stale;
+    std::error_code ec;
+    for (const fs::directory_entry &dir :
+         fs::directory_iterator(store_ / cellDir, ec)) {
+        if (dir.path().filename() != fingerprint_)
+            stale.push_back(dir.path());
+    }
+    std::uint64_t evicted = 0;
+    for (const fs::path &dir : stale) {
+        for (const fs::directory_entry &f :
+             fs::directory_iterator(dir, ec)) {
+            if (f.path().filename().string().front() != '.')
+                ++evicted;
+        }
+        fs::remove_all(dir);
+    }
+
+    registry_.counter("cell_cache", "inserts").inc(items.size());
+    registry_.counter("cell_cache", "evictions").inc(evicted);
     registry_.counter("cell_cache", "bytes_written").inc(bytes);
 }
 
 JsonValue
-CellCache::statsToJson()
+CellCache::statsToJson() const
 {
     JsonValue doc = JsonValue::object();
     doc.add("schema", "ospredict-store-stats-v1");
@@ -316,57 +278,10 @@ CellCache::statsToJson()
     // document shape never depends on which events occurred.
     obs::MetricsSnapshot snap = registry_.snapshot();
     JsonValue counters = JsonValue::object();
-    for (const char *name :
-         {"hits", "misses", "failed_replays", "inserts",
-          "evictions", "bytes_read", "bytes_written"})
+    for (const char *name : {"hits", "misses", "inserts", "evictions",
+                             "bytes_read", "bytes_written"})
         counters.add(name, snap.counterValue("cell_cache", name));
     doc.add("cache", std::move(counters));
-
-    store::StoreInfo info = store_.info();
-    store::StoreProfile prof = store_.profile();
-    JsonValue s = JsonValue::object();
-    s.add("page_size", info.pageSize);
-    s.add("txid", info.txid);
-    s.add("num_pages", info.numPages);
-    s.add("free_pages", info.freePages);
-    s.add("pending_pages", info.pendingPages);
-    s.add("leaf_pages", info.leafPages);
-    s.add("root_run_pages", info.rootRunPages);
-    s.add("keys", info.keys);
-    s.add("file_bytes", info.fileBytes);
-    // Self-profiling totals: how long this handle actually spent
-    // blocked on the writer gate and committing (lockWaitMs only
-    // bounds the former; these record it).
-    s.add("lock_wait_us_total", prof.lockWaitUsTotal);
-    s.add("lock_acquisitions", prof.lockAcquisitions);
-    s.add("commit_count", prof.commitCount);
-    s.add("commit_us_total", prof.commitUsTotal);
-    s.add("pages_written_total", prof.pagesWrittenTotal);
-    doc.add("store", std::move(s));
-
-    JsonValue hists = JsonValue::object();
-    auto hist = [](const obs::Histogram &h) {
-        JsonValue v = JsonValue::object();
-        v.add("count", h.count());
-        v.add("sum", h.sum());
-        JsonValue buckets = JsonValue::array();
-        for (std::size_t i = 0; i < obs::Histogram::numBuckets;
-             ++i) {
-            if (!h.bucket(i))
-                continue;
-            JsonValue b = JsonValue::array();
-            b.append(obs::Histogram::bucketLow(i));
-            b.append(h.bucket(i));
-            buckets.append(std::move(b));
-        }
-        v.add("buckets", std::move(buckets));
-        return v;
-    };
-    hists.add("lock_wait_us", hist(prof.lockWaitUs));
-    hists.add("commit_us", hist(prof.commitUs));
-    hists.add("commit_cow_pages", hist(prof.commitCowPages));
-    hists.add("commit_leaf_reads", hist(prof.commitLeafReads));
-    doc.add("store_profile", std::move(hists));
     return doc;
 }
 

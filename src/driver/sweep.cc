@@ -531,8 +531,7 @@ runSweep(const SweepSpec &spec, const RunnerOptions &options)
         if (options.incremental) {
             for (const SweepCell &cell : cells) {
                 std::optional<CellResult> hit =
-                    options.cache->fetch(keys[cell.index], cell,
-                                         options.claimAware);
+                    options.cache->fetch(keys[cell.index], cell);
                 if (hit) {
                     result.cells[cell.index] = std::move(*hit);
                     cached[cell.index] = true;
@@ -1007,8 +1006,6 @@ sweepToJson(const SweepResult &result, const JsonOptions &options)
     if (options.includeTiming) {
         JsonValue timing = JsonValue::object();
         timing.add("threads", result.threads);
-        if (result.workerProcesses > 0)
-            timing.add("jobs", result.workerProcesses);
         timing.add("wall_s", result.wallSeconds);
         doc.add("timing", std::move(timing));
     }
@@ -1045,6 +1042,9 @@ writeResultsJson(std::ostream &os, const SweepResult &result,
     os << "\n";
 }
 
+namespace
+{
+
 void
 appendCellTraceEvents(JsonValue &events, const SweepResult &result)
 {
@@ -1053,9 +1053,7 @@ appendCellTraceEvents(JsonValue &events, const SweepResult &result)
     // slices whose ts is the retired-instruction count and dur the
     // interval's cycles; everything else becomes an instant ("i")
     // event. One process per sweep cell, one thread per service
-    // type. Shared between writeChromeTrace and the fleet-merged
-    // trace (driver/fleet.cc), which must keep the cell lanes
-    // byte-identical to the single-process ones.
+    // type.
     for (const CellResult &r : result.cells) {
         if (r.failed)
             continue;
@@ -1105,6 +1103,8 @@ appendCellTraceEvents(JsonValue &events, const SweepResult &result)
         }
     }
 }
+
+} // namespace
 
 void
 writeChromeTrace(std::ostream &os, const SweepResult &result)

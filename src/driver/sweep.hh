@@ -306,9 +306,6 @@ struct SweepResult
     StoreSection store;              //!< set when a cache was used
     unsigned threads = 1;            //!< volatile (timing section)
     double wallSeconds = 0.0;        //!< volatile (timing section)
-    /** Worker processes that executed cells before this (assembly)
-     *  pass; 0 = single-process run. Volatile (timing section). */
-    unsigned workerProcesses = 0;
 
     /**
      * Cell lookup by coordinates; nullptr when the spec did not
@@ -333,7 +330,7 @@ struct RunnerOptions
     std::size_t traceCapacity = 0;
     /**
      * Persistent sweep-cell cache. When set, every executed cell is
-     * recorded (one transaction after the join) and the results
+     * recorded (one commit after the join) and the results
      * document gains the canonical store section. Lookups and
      * inserts run on the driving thread in cell-index order, so
      * caching never perturbs the determinism contract.
@@ -346,14 +343,6 @@ struct RunnerOptions
      * is measured against.
      */
     bool incremental = false;
-    /**
-     * Assembly after a distributed run (requires incremental):
-     * cells with no cached value but an exhausted claim record are
-     * marked failed from the claim table instead of re-executed, so
-     * the assembled document equals the single-process one even for
-     * cells that failed in a worker. See CellCache::fetch.
-     */
-    bool claimAware = false;
     /**
      * Archived PLT profiles by workload: accelerated cells of a
      * listed workload warm-start their predictors from the profile
@@ -436,13 +425,6 @@ void writeAccuracyReport(std::ostream &os,
  * as the sweep itself. Cells are emitted in index order.
  */
 void writeChromeTrace(std::ostream &os, const SweepResult &result);
-
-/** writeChromeTrace's event list without the document wrapper:
- *  append every cell's lanes to @p events. Shared with the
- *  fleet-merged trace (driver/fleet.hh), whose cell lanes must stay
- *  byte-identical to the single-process ones. */
-void appendCellTraceEvents(JsonValue &events,
-                           const SweepResult &result);
 
 } // namespace osp
 

@@ -2,11 +2,11 @@
  * @file
  * Stable content hashing for persistence and content addressing.
  *
- * The persistent store (src/store) and the sweep-cell cache
- * (src/driver/cell_cache) both need a hash whose value is part of
- * an on-disk format: it must be identical across platforms, runs,
- * thread counts and compilers, and re-implementable in a few lines
- * of Python (tools/check_store.py validates store files with it).
+ * The sweep-cell cache (src/driver/cell_cache) and the store
+ * directory's file trailers (src/driver/store_dir) both need a hash
+ * whose value is part of an on-disk format: it must be identical
+ * across platforms, runs, thread counts and compilers, and
+ * re-implementable in a few lines of Python.
  * std::hash guarantees none of that, so this is 64-bit FNV-1a —
  * simple, endianness-free (bytes are folded one at a time), and
  * with well-known constants any checker can reproduce.

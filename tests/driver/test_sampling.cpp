@@ -15,7 +15,6 @@
 #include "driver/cell_io.hh"
 #include "driver/experiments.hh"
 #include "driver/sweep.hh"
-#include "store/page_store.hh"
 #include "util/json.hh"
 #include "workload/registry.hh"
 
@@ -179,12 +178,10 @@ TEST(SampledSweep, SampledCellCodecRoundTripsByteExactly)
 
 TEST(SampledSweep, CellKeySeparatesSampledIdentity)
 {
-    auto path = (std::filesystem::temp_directory_path() /
-                 "osp_sampling_key_test.db")
-                    .string();
-    std::filesystem::remove(path);
-    auto store = store::PageStore::open(path);
-    CellCache cache(*store, "f00d");
+    // Keys are pure: the cache never touches its directory here.
+    CellCache cache(std::filesystem::temp_directory_path() /
+                        "osp_sampling_key_test",
+                    "f00d");
 
     SweepSpec spec = sampledSpec();
     auto cells = expandSweep(spec);
@@ -213,9 +210,6 @@ TEST(SampledSweep, CellKeySeparatesSampledIdentity)
               cache.cellKey(spec, cells[sampled], 0));
     EXPECT_EQ(cache.cellKey(retuned, retuned_cells[full], 0),
               cache.cellKey(spec, cells[full], 0));
-
-    store.reset();
-    std::filesystem::remove(path);
 }
 
 TEST(SampledSweep, Fig13BracketsOracleOnAllFiveWorkloads)

@@ -1,8 +1,7 @@
 /** @file Tests for the stable FNV-1a hash: golden values from the
  *  published test vectors (the hash is an on-disk format — these
  *  must never change), streaming equivalence, and the string
- *  separator. tools/check_store.py re-implements the same function
- *  in Python against the same constants. */
+ *  separator. */
 
 #include <gtest/gtest.h>
 

@@ -17,12 +17,9 @@ simulator's hot path:
   - emulate_over_ooo     = emulate_block_mips / ooo_cache_mips
     Emulation must stay the cheap mode; a collapse of either ratio
     means someone made the emulate path expensive (or the timing
-    models suspiciously cheap) without noticing.
-  - sweep_jobs_scaling   = sweep_table2_jobs1_fleet_seconds /
-                           sweep_table2_jobs2_fleet_seconds
-    Adding a second worker process to a distributed sweep must keep
-    helping: the claim/lease coordination cost (see
-    src/driver/claim_executor.hh) stays bounded.
+    models suspiciously cheap) without noticing. All four gzip rows
+    run the whole workload at one scale, past its warm-up, so the
+    timing models really run.
 
 Each ratio must lie within a multiplicative factor `ratio_tol` of
 the baseline value (band [base / tol, base * tol]).
@@ -43,12 +40,6 @@ quiet machine with a Release (-O3) build:
       --bench-json hotpath.json --log-level silent
   ./bench/fig13_sampled_speedup --smoke --threads "$(nproc)" \
       --bench-json hotpath.json > /dev/null
-  for j in 1 2; do
-    rm -f "jobs$j.db" "jobs$j.db.lock"
-    ./bench/sweep table2 --smoke --jobs "$j" --store "jobs$j.db" \
-        --threads 2 --out /dev/null --bench-json hotpath.json \
-        --log-level silent
-  done
   ./tools/check_perf_baseline.py hotpath.json \
       bench/baselines/hotpath_smoke.json --update
 """
@@ -76,12 +67,6 @@ RATIOS = {
     "emulate_over_inorder": ("emulate_block_mips",
                              "inorder_cache_mips"),
     "emulate_over_ooo": ("emulate_block_mips", "ooo_cache_mips"),
-    # Multi-process scaling: one-worker fleet time over two-worker
-    # fleet time for the same sweep (>1 = the second process helps;
-    # the tolerance band keeps a coordination regression — e.g. a
-    # writer gate held across cell execution — from landing).
-    "sweep_jobs_scaling": ("sweep_table2_jobs1_fleet_seconds",
-                           "sweep_table2_jobs2_fleet_seconds"),
 }
 
 
