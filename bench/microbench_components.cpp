@@ -16,6 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -24,6 +25,7 @@
 
 #include "bench_json.hh"
 #include "common.hh"
+#include "core/accelerator.hh"
 #include "mem/hierarchy.hh"
 #include "obs/telemetry.hh"
 #include "sim/codegen.hh"
@@ -282,6 +284,41 @@ timeMachineRun(DetailLevel level, std::uint32_t block_ops,
     return best;  // seconds per instruction
 }
 
+/** Wall seconds and retired instructions of one whole run. */
+struct TimedRun
+{
+    double secs = 0.0;
+    InstCount insts = 0;
+};
+
+/**
+ * One whole ab-rand run at scale 1 on the OooCache model: full
+ * detail, or accelerated (the paper's predictor attached, so
+ * matured OS services are fast-forwarded).
+ */
+TimedRun
+timeOsHeavyRun(bool accelerated)
+{
+    MachineConfig cfg = bench::paperConfig();
+    cfg.level = DetailLevel::OooCache;
+    auto machine = makeMachine("ab-rand", cfg, 1.0);
+    Accelerator accel(bench::paperPredictor());
+    if (accelerated)
+        machine->setController(&accel);
+    auto t0 = std::chrono::steady_clock::now();
+    InstCount done = machine->run(0).totalInsts();
+    auto t1 = std::chrono::steady_clock::now();
+    return {std::chrono::duration<double>(t1 - t0).count(), done};
+}
+
+/** Median of an odd-sized sample. */
+double
+medianOf(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+}
+
 /** Best-of-3 seconds per access on the L1-sized cache loop. */
 double
 timeCacheAccess(std::uint64_t accesses)
@@ -368,6 +405,32 @@ runBenchJson(const std::string &path)
          mips(timeMachineRun(DetailLevel::OooCache, 256,
                              "ab-rand", osheavy_scale)),
          "mips"});
+    // Table 2's measured column at an OS-heavy operating point:
+    // whole ab-rand runs at scale 1, under --smoke too, because at
+    // smoke scale only about a third of the instructions are
+    // predicted and the speedup (~1.1x) cannot show a regression.
+    // Three interleaved full/accelerated pairs; the speedup is the
+    // median of the per-pair time ratios, so a slow spell on a
+    // shared host lands on both halves of a pair. Both modes retire
+    // the same instructions. The speedup carries a hard floor.
+    std::vector<double> full_s, accel_s, speedup;
+    InstCount osheavy_insts = 0;
+    for (int pair = 0; pair < 3; ++pair) {
+        TimedRun full = timeOsHeavyRun(false);
+        TimedRun accel = timeOsHeavyRun(true);
+        full_s.push_back(full.secs);
+        accel_s.push_back(accel.secs);
+        speedup.push_back(full.secs / accel.secs);
+        osheavy_insts = full.insts;
+    }
+    const double osheavy_minsts =
+        static_cast<double>(osheavy_insts) / 1e6;
+    metrics.push_back({"osheavy_full_mips",
+                       osheavy_minsts / medianOf(full_s), "mips"});
+    metrics.push_back({"osheavy_accel_mips",
+                       osheavy_minsts / medianOf(accel_s), "mips"});
+    metrics.push_back(
+        {"osheavy_accel_speedup", medianOf(speedup), "ratio"});
     metrics.push_back(
         {"cache_accesses_per_sec",
          1.0 / timeCacheAccess(cache_accesses), "1/s"});

@@ -69,11 +69,16 @@ Cache::victimWay(std::uint32_t set)
     }
     if (params_.repl == ReplPolicy::Random)
         return rng.range(params_.assoc);
+    // The oldest way, chosen with conditional moves: which way that
+    // is depends on the data, so as a branch it mispredicts.
     const Line *ln = &lines[base];
     std::uint32_t victim = 0;
+    std::uint64_t oldest = ln[0].lruStamp;
     for (std::uint32_t w = 1; w < params_.assoc; ++w) {
-        if (ln[w].lruStamp < ln[victim].lruStamp)
-            victim = w;
+        std::uint64_t s = ln[w].lruStamp;
+        bool older = s < oldest;
+        oldest = older ? s : oldest;
+        victim = older ? w : victim;
     }
     return victim;
 }
@@ -119,19 +124,32 @@ Cache::accessSlow(std::uint32_t set, Addr tag, std::size_t base,
 }
 
 bool
-Cache::install(Addr addr, Owner owner)
+Cache::installSlow(std::uint32_t set, Addr tag, std::size_t base,
+                   Owner owner)
 {
-    std::uint32_t set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    std::size_t base = static_cast<std::size_t>(set) * params_.assoc;
-    ++lruClock;
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        if (tags_[base + w] == tag) {
+    const std::uint32_t assoc = params_.assoc;
+    std::uint32_t invalid = assoc;
+    std::uint32_t lru = 0;
+    std::uint64_t oldest = ~std::uint64_t(0);
+    for (std::uint32_t w = 0; w < assoc; ++w) {
+        Addr t = tags_[base + w];
+        if (t == tag) {
             lines[base + w].lruStamp = lruClock;
+            mruWay_[set] = w;
             return false;
         }
+        bool first_invalid = t == kInvalidTag && invalid == assoc;
+        invalid = first_invalid ? w : invalid;
+        std::uint64_t s = lines[base + w].lruStamp;
+        bool older = s < oldest;
+        oldest = older ? s : oldest;
+        lru = older ? w : lru;
     }
-    std::uint32_t way = victimWay(set);
+    std::uint32_t way = invalid;
+    if (way == assoc) {
+        way = params_.repl == ReplPolicy::Random ? rng.range(assoc)
+                                                 : lru;
+    }
     Line &line = lines[base + way];
     if (line.valid)
         stats_.injectedEvictions += 1;

@@ -190,8 +190,25 @@ class Cache
      * touched; evictions count as injected.
      *
      * @return true if the line was filled (was not resident).
+     *
+     * Like access(), the MRU-way hit is resolved inline; the rest
+     * goes through installSlow().
      */
-    bool install(Addr addr, Owner owner);
+    bool
+    install(Addr addr, Owner owner)
+    {
+        std::uint32_t set = setIndex(addr);
+        Addr tag = tagOf(addr);
+        std::size_t base =
+            static_cast<std::size_t>(set) * params_.assoc;
+        ++lruClock;
+        std::uint32_t mru = mruWay_[set];
+        if (tags_[base + mru] == tag) {
+            lines[base + mru].lruStamp = lruClock;
+            return false;
+        }
+        return installSlow(set, tag, base, owner);
+    }
 
     /**
      * Invalidate everything (cold-start). Statistics survive. Also
@@ -264,8 +281,14 @@ class Cache
 
     Addr tagOf(Addr addr) const { return addr >> lineShift; }
 
-    /** Pick the victim way in a (full) set per the policy. */
+    /** Pick the victim way in a set per the policy: the first
+     *  invalid way, else the LRU (or a random) way. */
     std::uint32_t victimWay(std::uint32_t set);
+
+    /** install() past the MRU way: one scan of the set finds a hit,
+     *  the first invalid way and the LRU way together. */
+    bool installSlow(std::uint32_t set, Addr tag, std::size_t base,
+                     Owner owner);
 
     /** Way scan, fill and eviction for a non-MRU access; the stats
      *  and LRU-clock bumps already happened in access(). */

@@ -160,20 +160,6 @@ struct MetricsSnapshot
     const HistogramEntry *
     findHistogram(std::string_view component,
                   std::string_view name) const;
-
-    /**
-     * Fold @p other into this snapshot, instrument by instrument.
-     * Counters sum; histograms add count/sum and merge their
-     * (low, count) bucket lists (exact, since both sides share the
-     * power-of-two bucket layout); gauges keep the high-water value,
-     * the only order-independent reduction for point-in-time
-     * readings. Instruments present on one side only are copied.
-     * Both snapshots must be in sorted (component, name) order —
-     * everything Registry::snapshot or metricsSnapshotFromJson
-     * produces is — and the result preserves that order, so merging
-     * is deterministic regardless of worker arrival order.
-     */
-    void merge(const MetricsSnapshot &other);
 };
 
 /** Snapshot entry for one live histogram (shared by Registry

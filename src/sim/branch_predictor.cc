@@ -14,36 +14,10 @@ GshareBp::GshareBp(std::uint32_t history_bits)
     counters.assign(1u << historyBits, 1);  // weakly not-taken
 }
 
-std::uint32_t
-GshareBp::index(Addr pc) const
-{
-    return (static_cast<std::uint32_t>(pc >> 2) ^ history) & mask;
-}
-
 bool
 GshareBp::predict(Addr pc) const
 {
     return counters[index(pc)] >= 2;
-}
-
-bool
-GshareBp::predictAndUpdate(Addr pc, bool taken)
-{
-    std::uint32_t idx = index(pc);
-    bool prediction = counters[idx] >= 2;
-    bool correct = (prediction == taken);
-
-    ++lookups_;
-    if (!correct)
-        ++mispredicts_;
-
-    if (taken && counters[idx] < 3)
-        ++counters[idx];
-    else if (!taken && counters[idx] > 0)
-        --counters[idx];
-
-    history = ((history << 1) | (taken ? 1u : 0u)) & mask;
-    return correct;
 }
 
 void

@@ -37,8 +37,27 @@ class GshareBp
     /**
      * Update with the architectural outcome and return whether the
      * prediction (made with the pre-update state) was correct.
+     * Inline: every timed branch and every warmed one calls it.
      */
-    bool predictAndUpdate(Addr pc, bool taken);
+    bool
+    predictAndUpdate(Addr pc, bool taken)
+    {
+        std::uint32_t idx = index(pc);
+        std::uint8_t &ctr = counters[idx];
+        bool correct = (ctr >= 2) == taken;
+
+        ++lookups_;
+        if (!correct)
+            ++mispredicts_;
+
+        if (taken && ctr < 3)
+            ++ctr;
+        else if (!taken && ctr > 0)
+            --ctr;
+
+        history = ((history << 1) | (taken ? 1u : 0u)) & mask;
+        return correct;
+    }
 
     /** Number of predictions made via predictAndUpdate(). */
     std::uint64_t lookups() const { return lookups_; }
@@ -59,7 +78,11 @@ class GshareBp
     void reset();
 
   private:
-    std::uint32_t index(Addr pc) const;
+    std::uint32_t
+    index(Addr pc) const
+    {
+        return (static_cast<std::uint32_t>(pc >> 2) ^ history) & mask;
+    }
 
     std::uint32_t historyBits;
     std::uint32_t mask;

@@ -52,16 +52,6 @@ CodeGenerator::pushCopy(const CodeProfile &profile,
     items.push_back(item);
 }
 
-namespace
-{
-
-// Fixed-probability trials in the lowering path, as raw thresholds.
-const std::uint64_t kThrHot = Pcg32::rawThreshold(0.9);
-const std::uint64_t kThrHalf = Pcg32::rawThreshold(0.5);
-const std::uint64_t kThrFlip = Pcg32::rawThreshold(0.02);
-
-} // namespace
-
 void
 CodeGenerator::startItem(WorkItem &item)
 {
@@ -165,203 +155,68 @@ CodeGenerator::pendingOps() const
     return n;
 }
 
-Addr
-CodeGenerator::nextPc(WorkItem &item)
+namespace
 {
-    const Region &code = item.profile.code;
-    if (item.blockLeft < 4) {
-        // Jump to a new block within the code footprint.
-        item.pc = code.base + 64ULL * rng.rangeWith(item.pcDraw);
-        item.blockLeft = item.profile.blockRunBytes;
-    }
-    Addr pc = item.pc;
-    item.pc += 4;
-    item.blockLeft -= 4;
-    if (item.pc >= code.base + code.size) {
-        item.pc = code.base;
-        item.blockLeft = item.profile.blockRunBytes;
-    }
-    return pc;
-}
 
-Addr
-CodeGenerator::dataAddr(WorkItem &item, bool chase)
+/** The sink behind next()/nextBlock(): writes each op as a MicroOp. */
+struct MicroOpWriter
 {
-    const Region &region = item.data;
-    if (region.size == 0)
-        return region.base;
-    switch (chase ? PatternKind::PointerChase : item.pattern) {
-      case PatternKind::Sequential:
-        {
-            Addr a = item.dataCursor;
-            item.dataCursor += item.stride;
-            if (item.dataCursor >= region.base + region.size)
-                item.dataCursor = region.base;
-            return a;
-        }
-      case PatternKind::Random:
-      case PatternKind::PointerChase:
-        return region.base + 64ULL * rng.rangeWith(item.dataDraw);
-      case PatternKind::Hot:
-        // 90% of accesses hit the first 10% of the region.
-        return region.base +
-               64ULL * rng.rangeWith(rng.chanceRaw(kThrHot)
-                                         ? item.hotDraw
-                                         : item.dataDraw);
+    static constexpr bool kDepDist = true;
+    MicroOp *out;
+
+    void
+    load(Addr pc, Addr addr, std::uint8_t dep)
+    {
+        // Latency comes from the memory system.
+        *out++ = MicroOp{pc, addr, OpClass::Load, dep, 0, false};
     }
-    return region.base;
-}
+
+    void
+    store(Addr pc, Addr addr, std::uint8_t dep)
+    {
+        *out++ = MicroOp{pc, addr, OpClass::Store, dep, 1, false};
+    }
+
+    void
+    branch(Addr pc, bool taken, std::uint8_t dep)
+    {
+        *out++ = MicroOp{pc, 0, OpClass::Branch, dep, 1, taken};
+    }
+
+    void
+    other(Addr pc, OpClass cls, std::uint8_t lat, std::uint8_t dep)
+    {
+        *out++ = MicroOp{pc, 0, cls, dep, lat, false};
+    }
+};
+
+} // namespace
 
 MicroOp
 CodeGenerator::next()
 {
-    if (items.empty())
+    MicroOp op;
+    if (nextBlock(&op, 1) == 0)
         osp_panic("CodeGenerator::next() called with no work queued");
-    WorkItem &item = items.front();
-    MicroOp op = item.kind == WorkItem::Kind::Compute
-                     ? lowerCompute(item)
-                     : lowerCopy(item);
-    item.opsLeft -= 1;
-    if (item.opsLeft == 0) {
-        if (item.kind == WorkItem::Kind::Compute &&
-            item.pattern == PatternKind::Sequential) {
-            seqCursors[item.data.base] = item.dataCursor;
-        }
-        items.pop_front();
-    }
     return op;
 }
 
 std::size_t
 CodeGenerator::nextBlock(MicroOp *out, std::size_t cap)
 {
-    std::size_t n = 0;
-    while (n < cap && !items.empty()) {
-        WorkItem &item = items.front();
-        std::size_t take = static_cast<std::size_t>(
-            std::min<std::uint64_t>(cap - n, item.opsLeft));
-        if (item.kind == WorkItem::Kind::Compute) {
-            for (std::size_t k = 0; k < take; ++k)
-                out[n++] = lowerCompute(item);
-        } else {
-            for (std::size_t k = 0; k < take; ++k)
-                out[n++] = lowerCopy(item);
-        }
-        item.opsLeft -= take;
-        if (item.opsLeft == 0) {
-            if (item.kind == WorkItem::Kind::Compute &&
-                item.pattern == PatternKind::Sequential) {
-                seqCursors[item.data.base] = item.dataCursor;
-            }
-            items.pop_front();
-        }
-    }
-    return n;
+    MicroOpWriter writer{out};
+    return static_cast<std::size_t>(drainInto(writer, cap));
 }
 
-MicroOp
-CodeGenerator::lowerCompute(WorkItem &item)
+void
+CodeGenerator::popItem()
 {
-    const CodeProfile &p = item.profile;
-    MicroOp op;
-    op.pc = nextPc(item);
-
-    // One draw, compared against the item's precomputed raw
-    // thresholds — outcome-identical to the historical
-    // uniform()-vs-cumulative-fraction chain (see rawThreshold).
-    std::uint32_t roll = rng.next();
-    bool chase = item.pattern == PatternKind::PointerChase;
-    if (roll < item.thrLoad) {
-        op.cls = OpClass::Load;
-        op.effAddr = dataAddr(item, chase);
-        op.execLat = 0;  // latency comes from the memory system
-        if (chase) {
-            // Serialize on the previous load (pointer dereference);
-            // opsSinceLoad is 1 when the previous op was a load.
-            op.depDist = static_cast<std::uint8_t>(
-                std::min<std::uint32_t>(opsSinceLoad, 255));
-        }
-    } else if (roll < item.thrStore) {
-        op.cls = OpClass::Store;
-        op.effAddr = dataAddr(item, false);
-        op.execLat = 1;
-    } else if (roll < item.thrBranch) {
-        op.cls = OpClass::Branch;
-        op.execLat = 1;
-        if (rng.chanceRaw(item.thrBranchRandom)) {
-            op.taken = rng.chanceRaw(kThrHalf);
-        } else {
-            // Strongly biased (loop-like) branch; predictors learn it.
-            op.taken = !rng.chanceRaw(kThrFlip);
-        }
-    } else if (roll < item.thrFp) {
-        op.cls = OpClass::FpAlu;
-        op.execLat = p.fpLatency;
-    } else {
-        op.cls = OpClass::IntAlu;
-        op.execLat = 1;
+    const WorkItem &item = items.front();
+    if (item.kind == WorkItem::Kind::Compute &&
+        item.pattern == PatternKind::Sequential) {
+        seqCursors[item.data.base] = item.dataCursor;
     }
-
-    if (op.cls != OpClass::Load || !chase) {
-        if (rng.chanceRaw(item.thrDep)) {
-            std::uint32_t d =
-                rng.geometricWith(*item.geom);
-            op.depDist =
-                static_cast<std::uint8_t>(std::min<std::uint32_t>(
-                    d, 255));
-        }
-    }
-    opsSinceLoad = op.cls == OpClass::Load
-                       ? 1
-                       : std::min<std::uint32_t>(opsSinceLoad + 1,
-                                                 255);
-    return op;
-}
-
-MicroOp
-CodeGenerator::lowerCopy(WorkItem &item)
-{
-    MicroOp op;
-    op.pc = nextPc(item);
-    switch (item.copyPhase) {
-      case 0:
-        op.cls = OpClass::Load;
-        op.effAddr = item.srcCursor;
-        op.execLat = 0;
-        break;
-      case 1:
-        op.cls = OpClass::Store;
-        op.effAddr = item.dstCursor;
-        op.execLat = 1;
-        op.depDist = 1;  // stores the value just loaded
-        break;
-      case 2:
-        op.cls = OpClass::IntAlu;
-        op.execLat = 1;
-        break;
-      case 3:
-      default:
-        op.cls = OpClass::Branch;
-        op.execLat = 1;
-        op.taken = true;  // loop-closing branch, well predicted
-        item.srcCursor += 16;
-        item.dstCursor += 16;
-        if (item.src.size &&
-            item.srcCursor >= item.src.base + item.src.size) {
-            item.srcCursor = item.src.base;
-        }
-        if (item.dst.size &&
-            item.dstCursor >= item.dst.base + item.dst.size) {
-            item.dstCursor = item.dst.base;
-        }
-        break;
-    }
-    opsSinceLoad = op.cls == OpClass::Load
-                       ? 1
-                       : std::min<std::uint32_t>(opsSinceLoad + 1,
-                                                 255);
-    item.copyPhase = (item.copyPhase + 1) & 3;
-    return op;
+    items.pop_front();
 }
 
 } // namespace osp

@@ -17,6 +17,7 @@
 #ifndef OSP_SIM_CODEGEN_HH
 #define OSP_SIM_CODEGEN_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -82,6 +83,26 @@ class CodeGenerator
      */
     std::size_t nextBlock(MicroOp *out, std::size_t cap);
 
+    /**
+     * Lower up to @p cap ops into @p sink and return how many were
+     * lowered. The ops, RNG draws and cursor updates are exactly
+     * those nextBlock() would produce; instead of a MicroOp, each op
+     * reaches the sink as one call per class, with the class branch
+     * already taken:
+     *
+     *   sink.load(pc, addr, dep);   sink.store(pc, addr, dep);
+     *   sink.branch(pc, taken, dep);
+     *   sink.other(pc, cls, exec_lat, dep);  // IntAlu or FpAlu
+     *
+     * A sink whose `static constexpr bool kDepDist` is false does
+     * not read dependence distances: the lowering still makes their
+     * draws, so the stream is unchanged, but skips computing them
+     * and passes 0 for a drawn distance.
+     */
+    template <class Sink>
+    std::uint64_t drainInto(Sink &sink,
+                            std::uint64_t cap = ~std::uint64_t(0));
+
     /** Drop all queued work. */
     void clear() { items.clear(); }
 
@@ -134,14 +155,27 @@ class CodeGenerator
         const Pcg32::GeomTable *geom = nullptr;
     };
 
-    /** Pick a data address for the current item and advance cursors. */
-    Addr dataAddr(WorkItem &item, bool chase);
+    /** Pick a data address for @p item and advance its cursors. */
+    static Addr dataAddr(WorkItem &item, bool chase, Pcg32 &rng);
 
     /** Advance the fetch point; returns the pc for the next op. */
-    Addr nextPc(WorkItem &item);
+    static Addr nextPc(WorkItem &item, Pcg32 &rng);
 
-    MicroOp lowerCompute(WorkItem &item);
-    MicroOp lowerCopy(WorkItem &item);
+    /** The op's drawn dependence distance (0: none), computed only
+     *  when @p kWant; the draws are made either way. */
+    template <bool kWant>
+    static std::uint8_t depDraw(const WorkItem &item, Pcg32 &rng);
+
+    /** The one lowering body: @p count ops of @p item into @p sink,
+     *  drawing from @p rng and tracking @p since_load, the ops since
+     *  the last load (see drainInto()). */
+    template <class Sink>
+    static void lowerInto(WorkItem &item, Pcg32 &rng,
+                          std::uint32_t &since_load,
+                          std::uint64_t count, Sink &sink);
+
+    /** Retire the exhausted front item. */
+    void popItem();
 
     void startItem(WorkItem &item);
 
@@ -171,6 +205,218 @@ class CodeGenerator
      */
     std::unordered_map<Addr, Addr> seqCursors;
 };
+
+// ---------------------------------------------------------------
+// Lowering bodies. They live in the header so every sink, the
+// MicroOp writer behind nextBlock() and the Machine's predicted-
+// service sink alike, is inlined into its own copy of the loop.
+// ---------------------------------------------------------------
+
+namespace codegen_detail
+{
+
+// Fixed-probability trials in the lowering path, as raw thresholds.
+inline const std::uint64_t kThrHot = Pcg32::rawThreshold(0.9);
+inline const std::uint64_t kThrHalf = Pcg32::rawThreshold(0.5);
+inline const std::uint64_t kThrFlip = Pcg32::rawThreshold(0.02);
+
+} // namespace codegen_detail
+
+inline Addr
+CodeGenerator::nextPc(WorkItem &item, Pcg32 &rng)
+{
+    const Region &code = item.profile.code;
+    if (item.blockLeft < 4) {
+        // Jump to a new block within the code footprint.
+        item.pc = code.base + 64ULL * rng.rangeWith(item.pcDraw);
+        item.blockLeft = item.profile.blockRunBytes;
+    }
+    Addr pc = item.pc;
+    item.pc += 4;
+    item.blockLeft -= 4;
+    if (item.pc >= code.base + code.size) {
+        item.pc = code.base;
+        item.blockLeft = item.profile.blockRunBytes;
+    }
+    return pc;
+}
+
+inline Addr
+CodeGenerator::dataAddr(WorkItem &item, bool chase, Pcg32 &rng)
+{
+    const Region &region = item.data;
+    if (region.size == 0)
+        return region.base;
+    switch (chase ? PatternKind::PointerChase : item.pattern) {
+      case PatternKind::Sequential:
+        {
+            Addr a = item.dataCursor;
+            item.dataCursor += item.stride;
+            if (item.dataCursor >= region.base + region.size)
+                item.dataCursor = region.base;
+            return a;
+        }
+      case PatternKind::Random:
+      case PatternKind::PointerChase:
+        return region.base + 64ULL * rng.rangeWith(item.dataDraw);
+      case PatternKind::Hot:
+        // 90% of accesses hit the first 10% of the region.
+        return region.base +
+               64ULL * rng.rangeWith(
+                           rng.chanceRaw(codegen_detail::kThrHot)
+                               ? item.hotDraw
+                               : item.dataDraw);
+    }
+    return region.base;
+}
+
+template <bool kWant>
+inline std::uint8_t
+CodeGenerator::depDraw(const WorkItem &item, Pcg32 &rng)
+{
+    const Pcg32::GeomTable &t = *item.geom;
+    bool dep = rng.chanceRaw(item.thrDep);
+    if constexpr (kWant) {
+        if (!dep)
+            return 0;
+        return static_cast<std::uint8_t>(
+            std::min<std::uint32_t>(rng.geometricWith(t), 255));
+    } else {
+        // Only the stream position matters: consume
+        // geometricWith()'s one draw, under its own guards, without
+        // branching on a trial that is close to a coin flip.
+        rng.discardIf(dep & (t.p < 1.0) & (t.p > 0.0));
+        return 0;
+    }
+}
+
+template <class Sink>
+[[gnu::always_inline]] inline void
+CodeGenerator::lowerInto(WorkItem &item, Pcg32 &rng,
+                         std::uint32_t &since_load, std::uint64_t count,
+                         Sink &sink)
+{
+    constexpr bool kDeps = Sink::kDepDist;
+    auto retired = [&](bool load) {
+        since_load = load ? 1 : std::min<std::uint32_t>(
+                                    since_load + 1, 255);
+    };
+
+    if (item.kind == WorkItem::Kind::Copy) {
+        // 4 ops per 16 bytes: load, store, index update, loop
+        // branch. No draws beyond the fetch point's.
+        for (std::uint64_t k = 0; k < count; ++k) {
+            Addr pc = nextPc(item, rng);
+            switch (item.copyPhase) {
+              case 0:
+                sink.load(pc, item.srcCursor, 0);
+                break;
+              case 1:
+                // Stores the value just loaded.
+                sink.store(pc, item.dstCursor, 1);
+                break;
+              case 2:
+                sink.other(pc, OpClass::IntAlu, 1, 0);
+                break;
+              case 3:
+              default:
+                // Loop-closing branch, well predicted.
+                sink.branch(pc, true, 0);
+                item.srcCursor += 16;
+                item.dstCursor += 16;
+                if (item.src.size &&
+                    item.srcCursor >= item.src.base + item.src.size)
+                    item.srcCursor = item.src.base;
+                if (item.dst.size &&
+                    item.dstCursor >= item.dst.base + item.dst.size)
+                    item.dstCursor = item.dst.base;
+                break;
+            }
+            retired(item.copyPhase == 0);
+            item.copyPhase = (item.copyPhase + 1) & 3;
+        }
+    } else {
+        const bool chase = item.pattern == PatternKind::PointerChase;
+        for (std::uint64_t k = 0; k < count; ++k) {
+            Addr pc = nextPc(item, rng);
+            // One draw, compared against the item's precomputed raw
+            // thresholds — outcome-identical to the historical
+            // uniform()-vs-cumulative-fraction chain (see rawThreshold).
+            std::uint32_t roll = rng.next();
+            if (roll < item.thrLoad) {
+                Addr a = dataAddr(item, chase, rng);
+                // A chased load serializes on the previous load (pointer
+                // dereference); since_load is 1 when that was the
+                // previous op. Other loads draw their distance.
+                std::uint8_t dep =
+                    chase ? static_cast<std::uint8_t>(since_load)
+                          : depDraw<kDeps>(item, rng);
+                retired(true);
+                sink.load(pc, a, dep);
+            } else if (roll < item.thrStore) {
+                Addr a = dataAddr(item, false, rng);
+                std::uint8_t dep = depDraw<kDeps>(item, rng);
+                retired(false);
+                sink.store(pc, a, dep);
+            } else if (roll < item.thrBranch) {
+                bool taken;
+                if (rng.chanceRaw(item.thrBranchRandom)) {
+                    taken = rng.chanceRaw(codegen_detail::kThrHalf);
+                } else {
+                    // Strongly biased (loop-like) branch; predictors
+                    // learn it.
+                    taken = !rng.chanceRaw(codegen_detail::kThrFlip);
+                }
+                std::uint8_t dep = depDraw<kDeps>(item, rng);
+                retired(false);
+                sink.branch(pc, taken, dep);
+            } else if (roll < item.thrFp) {
+                std::uint8_t dep = depDraw<kDeps>(item, rng);
+                retired(false);
+                sink.other(pc, OpClass::FpAlu, item.profile.fpLatency,
+                           dep);
+            } else {
+                std::uint8_t dep = depDraw<kDeps>(item, rng);
+                retired(false);
+                sink.other(pc, OpClass::IntAlu, 1, dep);
+            }
+        }
+    }
+}
+
+template <class Sink>
+inline std::uint64_t
+CodeGenerator::drainInto(Sink &sink, std::uint64_t cap)
+{
+    std::uint64_t n = 0;
+    while (n < cap && !items.empty()) {
+        WorkItem &item = items.front();
+        std::uint64_t take = std::min(cap - n, item.opsLeft);
+        if (take == 1) {
+            // One op at a time (next()): the copies below would cost
+            // more than they save.
+            lowerInto(item, rng, opsSinceLoad, 1, sink);
+        } else {
+            // Lower from local copies of the item, the RNG and the
+            // ops-since-load count, written back after: the sink's
+            // stores could alias the members, which would force a
+            // reload and store of the cursors and the RNG state
+            // around every op.
+            WorkItem local = item;
+            Pcg32 local_rng = rng;
+            std::uint32_t since_load = opsSinceLoad;
+            lowerInto(local, local_rng, since_load, take, sink);
+            item = local;
+            rng = local_rng;
+            opsSinceLoad = since_load;
+        }
+        n += take;
+        item.opsLeft -= take;
+        if (item.opsLeft == 0)
+            popItem();
+    }
+    return n;
+}
 
 } // namespace osp
 

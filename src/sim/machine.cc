@@ -146,6 +146,99 @@ Machine::publishCacheStats()
     publish("mem.l2", hier.l2());
 }
 
+namespace
+{
+
+/**
+ * The consumer of a fast-forwarded service's op stream
+ * (CodeGenerator::drainInto): op-mix tallies always; branch-predictor
+ * warming when @c bp is set; footprint reservoir sampling of data
+ * addresses and of every 16th op's pc when the sample vectors are
+ * set. Per op, the tallies and warming come first, then the data
+ * draw, then the code draw, as the pollution RNG stream requires.
+ */
+struct FastForwardSink
+{
+    static constexpr bool kDepDist = false;
+    static constexpr std::size_t kDataCap = 2048;
+    static constexpr std::size_t kCodeCap = 512;
+
+    GshareBp *bp;
+    std::vector<Addr> *dataSample;
+    std::vector<Addr> *codeSample;
+    Pcg32 *rng;
+    std::uint64_t ops = 0;
+    std::uint64_t loads = 0;
+    std::uint64_t stores = 0;
+    std::uint64_t branches = 0;
+    std::uint64_t dataSeen = 0;
+    std::uint64_t codeSeen = 0;
+
+    /** Reservoir step: keep @p a with probability cap / seen. */
+    void
+    offer(std::vector<Addr> &sample, std::size_t cap,
+          std::uint64_t seen, Addr a)
+    {
+        if (sample.size() < cap) {
+            sample.push_back(a);
+        } else {
+            std::uint32_t j =
+                rng->range(static_cast<std::uint32_t>(seen));
+            if (j < cap)
+                sample[j] = a;
+        }
+    }
+
+    void
+    data(Addr addr)
+    {
+        if (dataSample)
+            offer(*dataSample, kDataCap, ++dataSeen, addr);
+    }
+
+    /** Every op, after its class-specific work. */
+    void
+    retire(Addr pc)
+    {
+        ++ops;
+        if (codeSample && (ops & 15) == 0)
+            offer(*codeSample, kCodeCap, ++codeSeen, pc);
+    }
+
+    void
+    load(Addr pc, Addr addr, std::uint8_t)
+    {
+        ++loads;
+        data(addr);
+        retire(pc);
+    }
+
+    void
+    store(Addr pc, Addr addr, std::uint8_t)
+    {
+        ++stores;
+        data(addr);
+        retire(pc);
+    }
+
+    void
+    branch(Addr pc, bool taken, std::uint8_t)
+    {
+        ++branches;
+        if (bp)
+            bp->predictAndUpdate(pc, taken);
+        retire(pc);
+    }
+
+    void
+    other(Addr pc, OpClass, std::uint8_t, std::uint8_t)
+    {
+        retire(pc);
+    }
+};
+
+} // namespace
+
 template <class EngineT>
 void
 Machine::drainIntoT(EngineT *eng, Owner owner)
@@ -227,91 +320,51 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
     std::uint64_t mix_stores = 0;
     std::uint64_t mix_branches = 0;
     bool need_mix = controller_active && controller->wantsOpMix();
-    auto tally = [&](const MicroOp &op) {
-        switch (op.cls) {
-          case OpClass::Load: ++mix_loads; break;
-          case OpClass::Store: ++mix_stores; break;
-          case OpClass::Branch: ++mix_branches; break;
-          default: break;
-        }
-    };
-    MicroOp buf[kMaxBlockOps];
-    std::size_t filled;
     if (detailed) {
         if constexpr (timing) {
             // The hot learning path: retire the kernel plan in
             // blocks on the concrete engine — no virtual dispatch,
             // no per-op queue-front checks.
+            MicroOp buf[kMaxBlockOps];
+            std::size_t filled;
             while ((filled = gen.nextBlock(buf, kMaxBlockOps)) != 0) {
                 for (std::size_t i = 0; i < filled; ++i) {
                     eng->execute(buf[i], Owner::Os);
-                    tally(buf[i]);
+                    mix_loads += buf[i].cls == OpClass::Load;
+                    mix_stores += buf[i].cls == OpClass::Store;
+                    mix_branches += buf[i].cls == OpClass::Branch;
                 }
                 n += filled;
             }
         }
-    } else if (config_.pollutionPolicy == PollutionPolicy::Footprint
-               && usesCaches(config_.level) && warmupDone) {
-        // Emulate, reservoir-sampling the interval's real addresses
-        // for footprint-faithful pollution injection below.
-        dataSample.clear();
-        codeSample.clear();
-        std::uint64_t data_seen = 0;
-        std::uint64_t code_seen = 0;
-        constexpr std::size_t dataCap = 2048;
-        constexpr std::size_t codeCap = 512;
-        while ((filled = gen.nextBlock(buf, kMaxBlockOps)) != 0) {
-            for (std::size_t i = 0; i < filled; ++i) {
-                const MicroOp &op = buf[i];
-                tally(op);
-                ++n;
-                if (config_.bpWarming && op.cls == OpClass::Branch)
-                    bp.predictAndUpdate(op.pc, op.taken);
-                if (op.cls == OpClass::Load ||
-                    op.cls == OpClass::Store) {
-                    ++data_seen;
-                    if (dataSample.size() < dataCap) {
-                        dataSample.push_back(op.effAddr);
-                    } else {
-                        std::uint32_t j = pollutionRng.range(
-                            static_cast<std::uint32_t>(data_seen));
-                        if (j < dataCap)
-                            dataSample[j] = op.effAddr;
-                    }
-                }
-                if ((n & 15) == 0) {
-                    ++code_seen;
-                    if (codeSample.size() < codeCap) {
-                        codeSample.push_back(op.pc);
-                    } else {
-                        std::uint32_t j = pollutionRng.range(
-                            static_cast<std::uint32_t>(code_seen));
-                        if (j < codeCap)
-                            codeSample[j] = op.pc;
-                    }
-                }
-            }
-        }
     } else {
-        bool warm_bp = config_.bpWarming && warmupDone &&
-                       isDetailed(config_.level);
-        if (!warm_bp && !need_mix) {
-            // Nothing consumes the op stream: the plan's size is
-            // known analytically, which is the fastest emulation
-            // mode (a fresh generator serves each invocation, so
-            // skipping the lowering perturbs nothing).
+        // Fast-forward. The op stream feeds the footprint sampler,
+        // branch-predictor warming and the op-mix tallies, all
+        // through one sink; with none of them wanted the plan's
+        // size is known analytically, which is the fastest
+        // emulation mode (a fresh generator serves each invocation,
+        // so skipping the lowering perturbs nothing).
+        const bool footprint =
+            config_.pollutionPolicy == PollutionPolicy::Footprint &&
+            usesCaches(config_.level) && warmupDone;
+        const bool warm_bp = config_.bpWarming && warmupDone &&
+                             isDetailed(config_.level);
+        if (!footprint && !warm_bp && !need_mix) {
             n = gen.pendingOps();
             gen.clear();
         } else {
-            while ((filled = gen.nextBlock(buf, kMaxBlockOps)) != 0) {
-                for (std::size_t i = 0; i < filled; ++i) {
-                    const MicroOp &op = buf[i];
-                    tally(op);
-                    ++n;
-                    if (warm_bp && op.cls == OpClass::Branch)
-                        bp.predictAndUpdate(op.pc, op.taken);
-                }
+            if (footprint) {
+                dataSample.clear();
+                codeSample.clear();
             }
+            FastForwardSink sink{warm_bp ? &bp : nullptr,
+                                 footprint ? &dataSample : nullptr,
+                                 footprint ? &codeSample : nullptr,
+                                 &pollutionRng};
+            n = gen.drainInto(sink);
+            mix_loads = sink.loads;
+            mix_stores = sink.stores;
+            mix_branches = sink.branches;
         }
     }
     totals_.osInsts += n;
@@ -429,26 +482,26 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
                     std::uint64_t l1d_fills = 0;
                     std::uint64_t l1i_fills = 0;
                     std::uint64_t l2_fills = 0;
-                    for (std::uint64_t k = 0;
-                         k < pred.mem.l1dMisses &&
-                         !dataSample.empty();
-                         ++k) {
-                        auto out = hier.installLine(
-                            dataSample[k % dataSample.size()],
-                            false, Owner::Os);
-                        l1d_fills += out.l1Fill;
-                        l2_fills += out.l2Fill;
-                    }
-                    for (std::uint64_t k = 0;
-                         k < pred.mem.l1iMisses &&
-                         !codeSample.empty();
-                         ++k) {
-                        auto out = hier.installLine(
-                            codeSample[k % codeSample.size()], true,
-                            Owner::Os);
-                        l1i_fills += out.l1Fill;
-                        l2_fills += out.l2Fill;
-                    }
+                    // Cycle through a sample for @p want installs.
+                    auto install = [&](const std::vector<Addr> &sample,
+                                       std::uint64_t want, bool is_code,
+                                       std::uint64_t &l1_fills) {
+                        if (sample.empty())
+                            return;
+                        std::size_t k = 0;
+                        for (std::uint64_t i = 0; i < want; ++i) {
+                            auto out = hier.installLine(
+                                sample[k], is_code, Owner::Os);
+                            l1_fills += out.l1Fill;
+                            l2_fills += out.l2Fill;
+                            if (++k == sample.size())
+                                k = 0;
+                        }
+                    };
+                    install(dataSample, pred.mem.l1dMisses, false,
+                            l1d_fills);
+                    install(codeSample, pred.mem.l1iMisses, true,
+                            l1i_fills);
                     auto rest = [](std::uint64_t want,
                                    std::uint64_t got) {
                         return want > got ? want - got : 0;

@@ -95,11 +95,23 @@ class Pcg32
     next()
     {
         std::uint64_t old = state;
-        state = old * 6364136223846793005ULL + inc;
+        state = old * kMultiplier + inc;
         std::uint32_t xorshifted =
             static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
         std::uint32_t rot = static_cast<std::uint32_t>(old >> 59u);
         return (xorshifted >> rot) | (xorshifted << ((-rot) & 31u));
+    }
+
+    /**
+     * Consume one draw when @p c holds, without branching on @p c:
+     * for callers that need only the stream position after a trial
+     * too random for the branch predictor, not the drawn value.
+     */
+    void
+    discardIf(bool c)
+    {
+        std::uint64_t advanced = state * kMultiplier + inc;
+        state = c ? advanced : state;
     }
 
     /** Next raw 64-bit value. */
@@ -119,13 +131,20 @@ class Pcg32
         if (bound <= 1)
             return 0;
         // The rejection threshold and the reciprocal both depend
-        // only on the bound; callers overwhelmingly reuse the same
-        // bound (address-stream spans), so memoize them and replace
-        // two divisions per draw with two multiplies. The remainder
+        // only on the bound; callers that reuse a bound (address-
+        // stream spans) get them memoized, which replaces two
+        // divisions per draw with two multiplies. The remainder
         // uses Lemire's direct-computation trick, which is exact for
         // all 32-bit operands: n % d == mulhi64(M * n, d) with
-        // M = 2^64/d + 1 (Lemire, Kaser & Kurz 2019).
+        // M = 2^64/d + 1 (Lemire, Kaser & Kurz 2019). Building the
+        // memo costs a 64-bit division, so a bound is memoized only
+        // on its second consecutive use; a one-off bound (a
+        // reservoir's growing count) takes rangeFresh() instead.
         if (bound != rangeBound) {
+            if (bound != rangeLastMiss) {
+                rangeLastMiss = bound;
+                return rangeFresh(bound);
+            }
             rangeBound = bound;
             rangeThreshold = (-bound) % bound;
             rangeMagic = ~std::uint64_t(0) / bound + 1;
@@ -448,10 +467,32 @@ class Pcg32
     }
 
   private:
+    static constexpr std::uint64_t kMultiplier = 6364136223846793005ULL;
+
+    /**
+     * range(bound) without a memo: the same draws, the same
+     * rejections and the same r % bound. The rejection threshold
+     * 2^32 mod bound is below bound, so a draw r >= bound is always
+     * accepted and the threshold (a second division) is needed only
+     * when r < bound, where r % bound is r itself.
+     */
+    std::uint32_t
+    rangeFresh(std::uint32_t bound)
+    {
+        for (;;) {
+            std::uint32_t r = next();
+            if (r >= bound)
+                return r % bound;
+            if (r >= (-bound) % bound)
+                return r;
+        }
+    }
+
     std::uint64_t state = 0;
     std::uint64_t inc = 0;
     bool haveSpare = false;
     double spare = 0.0;
+    std::uint32_t rangeLastMiss = 0;
     std::uint32_t rangeBound = 0;
     std::uint32_t rangeThreshold = 0;
     std::uint64_t rangeMagic = 0;

@@ -13,6 +13,8 @@
 #include "core/accelerator.hh"
 #include "driver/experiments.hh"
 #include "driver/sweep.hh"
+#include "util/json.hh"
+#include "util/random.hh"
 #include "workload/registry.hh"
 
 namespace osp
@@ -294,6 +296,57 @@ TEST(SweepJson, DocumentShapeAndRoundTrip)
     ASSERT_TRUE(ok) << error;
     EXPECT_NE(full.find("timing"), nullptr);
     EXPECT_NE(full["cells"].at(0).find("wall_s"), nullptr);
+}
+
+/**
+ * The JSON decoder fails closed on a damaged results document: every
+ * truncation and 1,000 seeded byte flips of a real one each parse to
+ * ok == false (with a Null value) or to some value, and never crash
+ * (the sanitizer builds run this). A one-cell sweep keeps the
+ * document, and so the quadratic truncation loop, small.
+ */
+TEST(SweepJson, MutatedDocumentsParseOrFailClosed)
+{
+    SweepSpec spec;
+    spec.name = "mutate";
+    spec.workloads = {"du"};
+    spec.modes = {RunMode::Accelerated};
+    spec.predictors = {
+        {"statistical",
+         experimentPredictor(RelearnStrategy::Statistical)}};
+    spec.scale = 0.05;
+    JsonOptions canonical;
+    canonical.includeTiming = false;
+    std::ostringstream os;
+    writeResultsJson(os, runSweep(spec), canonical);
+    const std::string text = os.str();
+    bool ok = false;
+    ASSERT_FALSE(JsonValue::parse(text, &ok).isNull());
+    ASSERT_TRUE(ok);
+
+    auto check = [](const std::string &mutated, std::size_t n) {
+        bool parsed = true;
+        std::string error;
+        JsonValue v = JsonValue::parse(mutated, &parsed, &error);
+        if (!parsed) {
+            EXPECT_TRUE(v.isNull()) << n;
+            EXPECT_FALSE(error.empty()) << n;
+        } else {
+            (void)v.dump(-1);
+        }
+        return parsed;
+    };
+    // A prefix parses only when all it lacks is trailing whitespace.
+    const std::size_t end = text.find_last_not_of(" \n") + 1;
+    for (std::size_t len = 0; len < text.size(); ++len)
+        EXPECT_EQ(check(text.substr(0, len), len), len >= end) << len;
+    Pcg32 rng(42);
+    for (std::size_t n = 0; n < 1000; ++n) {
+        std::string mutated = text;
+        mutated[rng.range(static_cast<std::uint32_t>(text.size()))] ^=
+            static_cast<char>(1 + rng.range(255));
+        check(mutated, n);
+    }
 }
 
 TEST(RunSweep, TelemetryPreservesThreadCountInvariance)

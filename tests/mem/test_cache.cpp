@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -460,6 +462,268 @@ TEST(Cache, PollutionInstallSyntheticLinesNeverHit)
         EXPECT_FALSE(c.probe(a)) << "addr " << a;
     }
     EXPECT_FALSE(c.access(0x2000, false, Owner::App).hit);
+}
+
+/**
+ * A plain model of the cache's documented behaviour: per-way valid,
+ * tag, owner, dirty and LRU stamp, one clock, and the same
+ * replacement RNG (seed and stream) as Cache. Victims are the first
+ * invalid way, else the least recently used way (first on ties) or
+ * a random one. Nothing here is memoized or fused.
+ */
+class RefCache
+{
+  public:
+    RefCache(const CacheParams &p, std::uint64_t seed)
+        : assoc(p.assoc),
+          sets(static_cast<std::uint32_t>(
+              p.sizeBytes / (std::uint64_t(p.lineBytes) * p.assoc))),
+          shift(static_cast<std::uint32_t>(
+              std::countr_zero(std::uint64_t(p.lineBytes)))),
+          random(p.repl == ReplPolicy::Random),
+          ways(std::size_t(sets) * p.assoc),
+          rng(seed, 0x9e3779b97f4a7c15ULL)
+    {
+    }
+
+    Cache::AccessResult
+    access(Addr addr, bool is_write, Owner owner)
+    {
+        Cache::AccessResult r;
+        ++clock;
+        ++stats.accesses[static_cast<int>(owner)];
+        Way *w = find(addr);
+        if (w) {
+            r.hit = true;
+            w->stamp = clock;
+            w->dirty = w->dirty || is_write;
+            return r;
+        }
+        ++stats.misses[static_cast<int>(owner)];
+        Way &v = victim(addr);
+        if (v.valid) {
+            ++stats.evictions;
+            if (v.dirty) {
+                ++stats.writebacks;
+                r.writeback = true;
+            }
+            if (v.owner == Owner::App && owner == Owner::Os) {
+                ++stats.crossEvictions;
+                r.crossEviction = true;
+            }
+        }
+        v = Way{true, is_write, owner, addr >> shift, clock};
+        return r;
+    }
+
+    bool
+    install(Addr addr, Owner owner)
+    {
+        ++clock;
+        if (Way *w = find(addr)) {
+            w->stamp = clock;
+            return false;
+        }
+        Way &v = victim(addr);
+        if (v.valid)
+            ++stats.injectedEvictions;
+        ++stats.injectedFills;
+        v = Way{true, false, owner, addr >> shift, clock};
+        return true;
+    }
+
+    std::uint64_t
+    pollute(std::uint64_t count, Cache::PollutionMode mode)
+    {
+        using Mode = Cache::PollutionMode;
+        if (mode != Mode::Install)
+            count = std::min(count,
+                             resident(mode == Mode::InvalidateApp));
+        std::uint64_t affected = 0;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            Way *set = &ways[std::size_t(rng.range(sets)) * assoc];
+            Way *v = nullptr;
+            for (std::uint32_t w = 0; w < assoc && !v; ++w)
+                if (!set[w].valid)
+                    v = &set[w];
+            if (v && mode != Mode::Install)
+                continue;
+            if (!v) {
+                for (std::uint32_t w = 0; w < assoc; ++w) {
+                    if (mode == Mode::InvalidateApp &&
+                        set[w].owner != Owner::App)
+                        continue;
+                    if (!v || set[w].stamp < v->stamp)
+                        v = &set[w];
+                }
+                if (!v)
+                    continue;
+            }
+            if (v->valid)
+                ++stats.injectedEvictions;
+            if (mode == Mode::Install) {
+                *v = Way{true, false, Owner::Os,
+                         (1ULL << 52) + synthetic++, ++clock};
+                ++stats.injectedFills;
+            } else {
+                v->valid = false;
+                v->dirty = false;
+            }
+            ++affected;
+        }
+        return affected;
+    }
+
+    bool probe(Addr addr) { return find(addr) != nullptr; }
+
+    std::uint64_t
+    resident(bool app_only) const
+    {
+        std::uint64_t n = 0;
+        for (const Way &w : ways)
+            n += w.valid && (!app_only || w.owner == Owner::App);
+        return n;
+    }
+
+    CacheStats stats;
+
+  private:
+    struct Way
+    {
+        bool valid = false;
+        bool dirty = false;
+        Owner owner = Owner::App;
+        Addr tag = 0;
+        std::uint64_t stamp = 0;
+    };
+
+    Way *
+    set(Addr addr)
+    {
+        return &ways[std::size_t((addr >> shift) & (sets - 1)) * assoc];
+    }
+
+    Way *
+    find(Addr addr)
+    {
+        Way *s = set(addr);
+        for (std::uint32_t w = 0; w < assoc; ++w)
+            if (s[w].valid && s[w].tag == addr >> shift)
+                return &s[w];
+        return nullptr;
+    }
+
+    Way &
+    victim(Addr addr)
+    {
+        Way *s = set(addr);
+        for (std::uint32_t w = 0; w < assoc; ++w)
+            if (!s[w].valid)
+                return s[w];
+        if (random)
+            return s[rng.range(assoc)];
+        std::uint32_t lru = 0;
+        for (std::uint32_t w = 1; w < assoc; ++w)
+            if (s[w].stamp < s[lru].stamp)
+                lru = w;
+        return s[lru];
+    }
+
+    std::uint32_t assoc;
+    std::uint32_t sets;
+    std::uint32_t shift;
+    bool random;
+    std::vector<Way> ways;
+    Pcg32 rng;
+    std::uint64_t clock = 0;
+    std::uint64_t synthetic = 0;
+};
+
+/**
+ * Cache (MRU fast paths, the single-scan install, branch-free LRU
+ * choice) matches the reference model op for op over random mixes
+ * of demand accesses, installs and all three pollution modes, for
+ * both replacement policies and the TLB's geometry (4 KB lines).
+ */
+TEST(Cache, MatchesReferenceModelOnRandomOps)
+{
+    struct Geometry
+    {
+        std::uint64_t size;
+        std::uint32_t assoc;
+        std::uint32_t line;
+    };
+    const Geometry geometries[] = {
+        {1024, 2, 64},         // 8 sets
+        {4096, 4, 64},         // 16 sets, the L1s' associativity
+        {8 * 1024, 8, 64},     // 16 sets, the L2's associativity
+        {64 * 4096, 4, 4096},  // the TLB: 64 entries, 4-way
+        {512, 8, 64},          // one fully associative set
+    };
+    for (const Geometry &g : geometries) {
+        for (ReplPolicy repl : {ReplPolicy::Lru, ReplPolicy::Random}) {
+            CacheParams p;
+            p.name = "ref";
+            p.sizeBytes = g.size;
+            p.assoc = g.assoc;
+            p.lineBytes = g.line;
+            p.repl = repl;
+            const std::uint64_t seed = 7 + g.size + g.assoc;
+            Cache c(p, seed);
+            RefCache ref(p, seed);
+            // Lines drawn from 3x the capacity: hits, misses and
+            // evictions all common.
+            const std::uint32_t universe =
+                static_cast<std::uint32_t>(3 * g.size / g.line);
+            Pcg32 rng(seed, 11);
+            auto addrOf = [&] {
+                return Addr(g.line) * rng.range(universe) +
+                       rng.range(g.line);
+            };
+            for (int i = 0; i < 20000; ++i) {
+                Owner owner = rng.chance(0.5) ? Owner::App : Owner::Os;
+                std::uint32_t op = rng.range(100);
+                if (op < 55) {
+                    Addr a = addrOf();
+                    bool write = rng.chance(0.3);
+                    Cache::AccessResult got = c.access(a, write, owner);
+                    Cache::AccessResult want =
+                        ref.access(a, write, owner);
+                    ASSERT_EQ(got.hit, want.hit) << i;
+                    ASSERT_EQ(got.writeback, want.writeback) << i;
+                    ASSERT_EQ(got.crossEviction, want.crossEviction)
+                        << i;
+                } else if (op < 97) {
+                    Addr a = addrOf();
+                    ASSERT_EQ(c.install(a, owner),
+                              ref.install(a, owner))
+                        << i;
+                } else {
+                    auto mode = static_cast<Cache::PollutionMode>(
+                        rng.range(3));
+                    std::uint64_t n = rng.range(8);
+                    ASSERT_EQ(c.pollute(n, mode), ref.pollute(n, mode))
+                        << i;
+                }
+            }
+            for (std::uint32_t l = 0; l < universe; ++l)
+                ASSERT_EQ(c.probe(Addr(g.line) * l),
+                          ref.probe(Addr(g.line) * l))
+                    << l;
+            EXPECT_EQ(c.residentLines(Owner::App), ref.resident(true));
+            EXPECT_EQ(c.residentLines(), ref.resident(false));
+            const CacheStats &s = c.stats();
+            for (int o = 0; o < numOwners; ++o) {
+                EXPECT_EQ(s.accesses[o], ref.stats.accesses[o]);
+                EXPECT_EQ(s.misses[o], ref.stats.misses[o]);
+            }
+            EXPECT_EQ(s.evictions, ref.stats.evictions);
+            EXPECT_EQ(s.writebacks, ref.stats.writebacks);
+            EXPECT_EQ(s.crossEvictions, ref.stats.crossEvictions);
+            EXPECT_EQ(s.injectedEvictions, ref.stats.injectedEvictions);
+            EXPECT_EQ(s.injectedFills, ref.stats.injectedFills);
+        }
+    }
 }
 
 } // namespace

@@ -290,6 +290,119 @@ TEST(CodeGenerator, NextBlockMatchesNextExactly)
     }
 }
 
+/**
+ * A drainInto() sink that rebuilds each op as a MicroOp. With
+ * kDeps false the lowering skips computing dependence distances (the
+ * Machine's fast-forward sink does), so only class, pc, address,
+ * branch direction and latency are comparable then.
+ */
+template <bool kDeps>
+struct RecordingSink
+{
+    static constexpr bool kDepDist = kDeps;
+    std::vector<MicroOp> ops;
+
+    void
+    load(Addr pc, Addr addr, std::uint8_t dep)
+    {
+        ops.push_back(MicroOp{pc, addr, OpClass::Load, dep, 0, false});
+    }
+
+    void
+    store(Addr pc, Addr addr, std::uint8_t dep)
+    {
+        ops.push_back(MicroOp{pc, addr, OpClass::Store, dep, 1, false});
+    }
+
+    void
+    branch(Addr pc, bool taken, std::uint8_t dep)
+    {
+        ops.push_back(MicroOp{pc, 0, OpClass::Branch, dep, 1, taken});
+    }
+
+    void
+    other(Addr pc, OpClass cls, std::uint8_t lat, std::uint8_t dep)
+    {
+        ops.push_back(MicroOp{pc, 0, cls, dep, lat, false});
+    }
+};
+
+/**
+ * Two rounds of work on one generator: every PatternKind, copies,
+ * and a second round whose Sequential items resume from the cursors
+ * the first round left in seqCursors. @p drain consumes each round.
+ */
+template <class Drain>
+void
+lowerTwoRounds(CodeGenerator &gen, Drain drain)
+{
+    CodeProfile p = basicProfile();
+    CodeProfile chase = basicProfile();
+    chase.loadFrac = 0.6;  // long load chains
+    chase.depDistMean = 1.0;  // p = 1: geometric() draws nothing
+    const Region seq{0x60000, 8192};
+    gen.pushCompute(p, 700, seq, PatternKind::Sequential, 48);
+    gen.pushCompute(p, 500, Region{0x8000, 64 * 1024},
+                    PatternKind::Random);
+    gen.pushCopy(p, 777, Region{0x8000, 4096}, Region{0x20000, 4096});
+    gen.pushCompute(p, 301, Region{0x40000, 8192}, PatternKind::Hot);
+    gen.pushCompute(chase, 257, Region{0x50000, 4096},
+                    PatternKind::PointerChase);
+    drain(gen);
+    gen.pushCompute(p, 333, seq, PatternKind::Sequential, 48);
+    gen.pushCopy(p, 100, Region{0x70000, 64}, Region{0x71000, 0});
+    gen.pushCompute(p, 129, seq, PatternKind::Sequential, 48);
+    gen.pushCompute(p, 90, Region{0x90000, 0}, PatternKind::Random);
+    drain(gen);
+    // One more item shows the RNG stream ends in the same place.
+    gen.pushCompute(p, 64, Region{0x8000, 4096}, PatternKind::Random);
+    drain(gen);
+}
+
+/** The fused sink path sees exactly the stream nextBlock() yields:
+ *  same (class, pc, address, direction) for every op, whether or not
+ *  the sink asks for dependence distances, in any chunking. */
+TEST(CodeGenerator, DrainIntoSinkMatchesNextBlock)
+{
+    for (std::uint64_t seed : {1ULL, 23ULL, 42ULL, 977ULL}) {
+        std::vector<MicroOp> want;
+        CodeGenerator ref(seed, 5);
+        lowerTwoRounds(ref, [&](CodeGenerator &gen) {
+            MicroOp buf[64];
+            while (std::size_t n = gen.nextBlock(buf, 64))
+                want.insert(want.end(), buf, buf + n);
+        });
+
+        auto check = [&](auto sink, std::uint64_t cap) {
+            constexpr bool deps = decltype(sink)::kDepDist;
+            CodeGenerator gen(seed, 5);
+            lowerTwoRounds(gen, [&](CodeGenerator &g) {
+                while (g.drainInto(sink, cap) != 0) {
+                }
+            });
+            ASSERT_EQ(sink.ops.size(), want.size()) << seed;
+            for (std::size_t i = 0; i < want.size(); ++i) {
+                const MicroOp &got = sink.ops[i];
+                ASSERT_EQ(got.cls, want[i].cls) << seed << " " << i;
+                ASSERT_EQ(got.pc, want[i].pc) << seed << " " << i;
+                ASSERT_EQ(got.effAddr, want[i].effAddr)
+                    << seed << " " << i;
+                ASSERT_EQ(got.taken, want[i].taken) << seed << " " << i;
+                ASSERT_EQ(got.execLat, want[i].execLat)
+                    << seed << " " << i;
+                if (deps) {
+                    ASSERT_EQ(got.depDist, want[i].depDist)
+                        << seed << " " << i;
+                }
+            }
+        };
+        for (std::uint64_t cap : {1ULL, 7ULL, ~0ULL}) {
+            check(RecordingSink<true>{}, cap);
+            check(RecordingSink<false>{}, cap);
+        }
+    }
+}
+
 /** Generators on different threads share the process-wide geometric
  *  tables. Four threads lower the same plans at once, using
  *  dep-distance means no other test uses, so their first-use table

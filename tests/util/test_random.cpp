@@ -80,6 +80,52 @@ TEST(Pcg32, RangeCoversAllValues)
     EXPECT_EQ(seen.size(), 7u);
 }
 
+/** range() as first written: a rejection threshold and r % bound
+ *  on every draw, no memo. */
+std::uint32_t
+referenceRange(Pcg32 &rng, std::uint32_t bound)
+{
+    if (bound <= 1)
+        return 0;
+    std::uint32_t threshold = (-bound) % bound;
+    for (;;) {
+        std::uint32_t r = rng.next();
+        if (r >= threshold)
+            return r % bound;
+    }
+}
+
+/** Whatever path a bound takes (a one-off bound, the second use that
+ *  builds the memo, a memo hit), range() returns the reference
+ *  formula's value and leaves the stream where it leaves it. */
+TEST(Pcg32, RangeMatchesReferenceFormula)
+{
+    Pcg32 got(77, 3);
+    Pcg32 want(77, 3);
+    auto same = [&](std::uint32_t bound) {
+        ASSERT_EQ(got.range(bound), referenceRange(want, bound))
+            << bound;
+    };
+    // Every bound once: each call misses the memo.
+    for (std::uint32_t bound = 2; bound <= 100000; ++bound)
+        same(bound);
+    // Runs of one bound: a miss, the memo build, then hits.
+    for (std::uint32_t bound = 2; bound <= 100000; bound += 97)
+        for (int k = 0; k < 3; ++k)
+            same(bound);
+    // Near 2^32, where up to half of all draws are rejected.
+    const std::uint32_t big[] = {0xffffffffu, 0xfffffffeu,
+                                 0xc0000001u, 0x80000001u,
+                                 0x80000000u, 0x7fffffffu};
+    for (int round = 0; round < 200; ++round) {
+        for (std::uint32_t bound : big)
+            same(bound);  // alternating: all misses
+        same(big[round % 6]);
+        same(big[round % 6]);
+    }
+    EXPECT_EQ(got.next(), want.next());
+}
+
 TEST(Pcg32, RangeInclusiveBounds)
 {
     Pcg32 rng(13);

@@ -32,6 +32,13 @@ the baseline value (band [base / tol, base * tol]).
     see OS-side emulation cost. This one gets a hard floor
     (`osheavy_floor`), not a band.
 
+  - osheavy_accel_speedup = full-detail time / accelerated time
+    Table 2's measured wall speedup on whole ab-rand runs at scale 1
+    (median of 3 interleaved pairs, reported by the microbench as a
+    metric of its own). It is the end-to-end payoff of predicting
+    OS services, so it gets a hard floor (`accel_speedup_floor`)
+    that catches a slow predicted-service path.
+
 Regenerate the baseline (after an intentional hot-path change), on a
 quiet machine with a Release (-O3) build:
 
@@ -61,6 +68,11 @@ SAMPLED_FLOOR = 3.0
 # measured ~3 while every OS service rebuilt its geometric tables
 # and ~44 once they were built once per process (smoke, Release).
 OSHEAVY_FLOOR = 10.0
+# Full-detail over accelerated wall time on whole ab-rand runs at
+# scale 1. 1.46 is the median of five runs of the code before the
+# fused fast-forward path (1.34-1.48; Release, shared 4-core host);
+# with it, ten runs measured 1.51-1.77 (median 1.61).
+ACCEL_SPEEDUP_FLOOR = 1.46
 
 RATIOS = {
     "block_speedup": ("emulate_block_mips", "emulate_perop_mips"),
@@ -128,6 +140,8 @@ def main():
             baseline["sampled_floor"] = SAMPLED_FLOOR
         if "osheavy_emulate_mips" in metrics:
             baseline["osheavy_floor"] = OSHEAVY_FLOOR
+        if "osheavy_accel_speedup" in metrics:
+            baseline["accel_speedup_floor"] = ACCEL_SPEEDUP_FLOOR
         with open(args.baseline, "w") as f:
             json.dump(baseline, f, indent=2, sort_keys=True)
             f.write("\n")
@@ -186,6 +200,15 @@ def main():
             fail(f"osheavy_emulate_over_ooo {r:.3f} fell below the "
                  f"floor {want['osheavy_floor']} — emulating OS "
                  f"services is nearly as slow as simulating them")
+
+    if "accel_speedup_floor" in want:
+        speedup = metrics.get("osheavy_accel_speedup")
+        if speedup is None:
+            fail("accel_speedup_floor needs osheavy_accel_speedup")
+        if speedup < want["accel_speedup_floor"]:
+            fail(f"osheavy_accel_speedup {speedup:.3f} fell below the "
+                 f"floor {want['accel_speedup_floor']} — accelerated "
+                 f"runs lost ground against full detail")
 
     print(f"perf baseline: OK ({len(want['ratios'])} ratios within "
           f"x{tol} of baseline; block_speedup "
