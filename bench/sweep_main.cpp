@@ -60,12 +60,6 @@ usage(int code)
           "OSPREDICT_SMOKE=1)\n"
           "  --no-timing    omit wall-clock fields (canonical, "
           "thread-count-invariant bytes)\n"
-          "  --backend {plt,learned}\n"
-          "                 prediction backend for every predictor "
-          "variant (default plt, the paper's clustering; learned = "
-          "online feature-vector model). Folds into cached-cell "
-          "identity; non-default choices are recorded in the "
-          "document's sweep.backends field\n"
           "  --sample intervals=N,strata=K,rate=R[,alloc=A]\n"
           "                 enable stratified interval sampling: "
           "adds a sampled cell per Full baseline and a "
@@ -173,7 +167,6 @@ main(int argc, char **argv)
     std::string store_path;
     std::string store_stats_path;
     std::string fingerprint = OSP_CODE_FINGERPRINT;
-    PredictorBackendKind backend = PredictorBackendKind::Plt;
     SampleParams sample;
     bool incremental = false;
     bool plt_save = false;
@@ -194,13 +187,6 @@ main(int argc, char **argv)
             // consumed by bench::init()
         } else if (arg == "--no-timing") {
             timing = false;
-        } else if (arg == "--backend" && i + 1 < argc) {
-            std::string bname = argv[++i];
-            if (!predictorBackendFromName(bname, backend)) {
-                std::cerr << "sweep: bad backend '" << bname
-                          << "' (want plt or learned)\n";
-                return usage(2);
-            }
         } else if (arg == "--sample" && i + 1 < argc) {
             std::string sdesc = argv[++i];
             if (!parseSampleSpec(sdesc, sample)) {
@@ -279,7 +265,6 @@ main(int argc, char **argv)
     SweepSpec spec = makeNamedSweep(name, bench::smokeFactor(),
                                     bench::smokeMode());
     spec.baseSeed = seed;
-    setSweepBackend(spec, backend);
     if (sample.enabled)
         applySweepSampling(spec, sample);
 

@@ -52,7 +52,6 @@ usage()
         "  --strategy S        best-match | eager | delayed | "
         "statistical\n"
         "  --window N          learning window (default 100)\n"
-        "  --mix-signature     use instruction-mix signatures\n"
         "  --save-profile F    write the learned profile to F\n"
         "  --load-profile F    warm-start from a saved profile\n"
         "  --services          per-service breakdown\n"
@@ -140,8 +139,6 @@ main(int argc, char **argv)
         } else if (arg == "--window") {
             pp.learningWindow =
                 std::strtoull(next().c_str(), nullptr, 10);
-        } else if (arg == "--mix-signature") {
-            pp.useMixSignature = true;
         } else if (arg == "--save-profile") {
             save_profile = next();
         } else if (arg == "--load-profile") {

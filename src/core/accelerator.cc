@@ -1,6 +1,7 @@
 #include "accelerator.hh"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/logging.hh"
@@ -81,16 +82,11 @@ Accelerator::onServiceEnd(const IntervalOutcome &outcome)
         m.insts = outcome.insts;
         m.cycles = outcome.cycles;
         m.mem = outcome.mem;
-        m.loads = outcome.loads;
-        m.stores = outcome.stores;
-        m.branches = outcome.branches;
         pred.recordDetailed(m);
         return result;
     }
 
-    Signature sig{outcome.insts, outcome.loads, outcome.stores,
-                  outcome.branches};
-    ServiceMetrics m = pred.predict(sig, outcome.invocation);
+    ServiceMetrics m = pred.predict(outcome.insts, outcome.invocation);
     result.cycles = m.cycles;
     result.mem = m.mem;
     return result;
@@ -128,29 +124,44 @@ Accelerator::loadState(std::istream &is)
         header != "ospredict-profile" || version != "v1") {
         return false;
     }
+    // Parse everything before touching any predictor, so a stream
+    // that fails late leaves the accelerator exactly as it was.
+    std::vector<std::pair<int, std::vector<ClusterSnapshot>>> blocks;
     std::string word;
     while (is >> word) {
-        if (word == "end")
+        if (word == "end") {
+            for (const auto &[type, snapshots] : blocks)
+                predictorRef(static_cast<ServiceType>(type))
+                    .restoreTable(snapshots);
             return true;
+        }
         if (word != "service")
             return false;
         int type = -1;
-        std::size_t count = 0;
+        std::uint64_t count = 0;
         if (!(is >> type >> count) || type < 0 ||
             type >= numServiceTypes) {
             return false;
         }
-        std::vector<ClusterSnapshot> snapshots(count);
-        for (auto &s : snapshots) {
+        // Rows are read one at a time: the declared count is
+        // untrusted, so it bounds the loop and never sizes an
+        // allocation.
+        std::vector<ClusterSnapshot> snapshots;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            ClusterSnapshot s;
             if (!(is >> s.count >> s.instMean >> s.instM2 >>
                   s.cyclesMean >> s.cyclesM2 >> s.ipcMean >>
                   s.l1iAccMean >> s.l1iMissMean >> s.l1dAccMean >>
                   s.l1dMissMean >> s.l2AccMean >> s.l2MissMean)) {
                 return false;
             }
+            // A cluster holds at least one member; an empty row
+            // would restore as a cluster predicting zero cycles.
+            if (s.count == 0)
+                return false;
+            snapshots.push_back(s);
         }
-        predictorRef(static_cast<ServiceType>(type))
-            .restoreTable(snapshots);
+        blocks.emplace_back(type, std::move(snapshots));
     }
     return false;  // missing "end"
 }

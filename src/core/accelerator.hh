@@ -36,16 +36,6 @@ class Accelerator : public ServiceController
     DetailLevel chooseLevel(ServiceType type) override;
     Prediction onServiceEnd(const IntervalOutcome &outcome) override;
 
-    bool
-    wantsOpMix() const override
-    {
-        // The learned backend consumes per-class mix ratios as
-        // model features regardless of the PLT mix-signature
-        // refinement flag.
-        return params_.useMixSignature ||
-               params_.backend == PredictorBackendKind::Learned;
-    }
-
     /** Per-service predictor access (reports, tests). */
     const ServicePredictor &predictor(ServiceType type) const;
 
@@ -67,8 +57,10 @@ class Accelerator : public ServiceController
     /**
      * Load a saved profile: every listed service starts directly in
      * the prediction phase with the loaded table. Returns false on
-     * a malformed stream (the accelerator is left unchanged on
-     * header mismatch, partially loaded otherwise).
+     * a malformed stream — a bad header, a truncated or malformed
+     * row, a row with no members or a missing "end" — and then
+     * leaves the accelerator unchanged: the whole stream is parsed
+     * before any predictor is restored.
      *
      * Reusing a profile across runs is exactly the offline approach
      * the paper argues against (Sec. 2); the abl5 bench quantifies

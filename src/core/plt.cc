@@ -9,8 +9,8 @@ namespace osp
 {
 
 PerfLookupTable::PerfLookupTable(double range_frac,
-                                 double ema_alpha, bool use_mix)
-    : rangeFrac_(range_frac), emaAlpha_(ema_alpha), useMix_(use_mix)
+                                 double ema_alpha)
+    : rangeFrac_(range_frac), emaAlpha_(ema_alpha)
 {
     if (range_frac <= 0.0 || range_frac >= 1.0)
         osp_fatal("PerfLookupTable range fraction must be in (0,1)");
@@ -23,8 +23,7 @@ PerfLookupTable::record(const ServiceMetrics &metrics)
     ScaledCluster *best = nullptr;
     double best_dist = std::numeric_limits<double>::infinity();
     for (auto &cluster : clusters) {
-        if (cluster.matches(metrics.insts) &&
-            (!useMix_ || cluster.matchesMix(metrics.signature()))) {
+        if (cluster.matches(metrics.insts)) {
             double d = cluster.distance(metrics.insts);
             if (d < best_dist) {
                 best_dist = d;
@@ -41,14 +40,13 @@ PerfLookupTable::record(const ServiceMetrics &metrics)
 }
 
 const ScaledCluster *
-PerfLookupTable::match(const Signature &sig) const
+PerfLookupTable::match(InstCount insts) const
 {
     const ScaledCluster *best = nullptr;
     double best_dist = std::numeric_limits<double>::infinity();
     for (const auto &cluster : clusters) {
-        if (cluster.matches(sig.insts) &&
-            (!useMix_ || !sig.hasMix || cluster.matchesMix(sig))) {
-            double d = cluster.distance(sig.insts);
+        if (cluster.matches(insts)) {
+            double d = cluster.distance(insts);
             if (d < best_dist) {
                 best_dist = d;
                 best = &cluster;
@@ -91,9 +89,6 @@ PerfLookupTable::restore(
     outliers_.clear();
     for (const auto &s : snapshots)
         clusters.emplace_back(s, rangeFrac_, emaAlpha_);
-    // Mix statistics are not serialized; mix matching cannot apply
-    // to restored tables.
-    useMix_ = false;
 }
 
 OutlierEntry &

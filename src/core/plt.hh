@@ -49,36 +49,18 @@ class PerfLookupTable
   public:
     /** @param range_frac scaled-cluster half-range
      *  @param ema_alpha  recency weight for cluster predictions
-     *                    (see ScaledCluster; 0 = paper behaviour)
-     *  @param use_mix    cluster membership additionally requires
-     *                    the instruction mix to match (the paper's
-     *                    future-work signature refinement) */
+     *                    (see ScaledCluster; 0 = paper behaviour) */
     explicit PerfLookupTable(double range_frac = 0.05,
-                             double ema_alpha = 0.0,
-                             bool use_mix = false);
+                             double ema_alpha = 0.0);
 
     /** Record one fully-simulated invocation: add to the matching
      *  cluster or create a new one. Returns true if a new cluster
      *  was created. */
     bool record(const ServiceMetrics &metrics);
 
-    /**
-     * The best regular cluster whose range covers the signature
-     * (closest centroid on overlap), or nullptr. With mix matching
-     * enabled the cluster's mix ranges must cover the signature's
-     * mix as well — unless the signature is count-only
-     * (sig.hasMix == false), which always matches on the count
-     * alone.
-     */
-    const ScaledCluster *match(const Signature &sig) const;
-
-    /** Instruction-count-only convenience overload: matches on the
-     *  count alone, even when mix matching is enabled. */
-    const ScaledCluster *
-    match(InstCount insts) const
-    {
-        return match(Signature::instsOnly(insts));
-    }
+    /** The best regular cluster whose range covers the signature
+     *  (closest centroid on overlap), or nullptr. */
+    const ScaledCluster *match(InstCount insts) const;
 
     /** The regular cluster with the closest centroid regardless of
      *  range (Best-Match fallback), or nullptr if the PLT is
@@ -131,7 +113,6 @@ class PerfLookupTable
   private:
     double rangeFrac_;
     double emaAlpha_;
-    bool useMix_;
     std::vector<ScaledCluster> clusters;
     std::vector<OutlierEntry> outliers_;
 };

@@ -73,9 +73,6 @@ ScaledCluster::add(const ServiceMetrics &m)
     insts_.add(static_cast<double>(m.insts));
     cycles_.add(static_cast<double>(m.cycles));
     ipc_.add(m.ipc());
-    loads_.add(static_cast<double>(m.loads));
-    stores_.add(static_cast<double>(m.stores));
-    branches_.add(static_cast<double>(m.branches));
     l1iAcc.add(static_cast<double>(m.mem.l1iAccesses));
     l1iMiss.add(static_cast<double>(m.mem.l1iMisses));
     l1dAcc.add(static_cast<double>(m.mem.l1dAccesses));
@@ -108,9 +105,6 @@ ScaledCluster::decayHistory(std::uint64_t max_count)
     insts_.clampWeight(max_count);
     cycles_.clampWeight(max_count);
     ipc_.clampWeight(max_count);
-    loads_.clampWeight(max_count);
-    stores_.clampWeight(max_count);
-    branches_.clampWeight(max_count);
     l1iAcc.clampWeight(max_count);
     l1iMiss.clampWeight(max_count);
     l1dAcc.clampWeight(max_count);
@@ -130,22 +124,6 @@ double
 ScaledCluster::distance(InstCount insts) const
 {
     return std::fabs(static_cast<double>(insts) - centroid_);
-}
-
-bool
-ScaledCluster::matchesMix(const Signature &sig) const
-{
-    auto dim_ok = [&](const RunningStats &stats, std::uint64_t v) {
-        double mean = stats.mean();
-        if (mean < 32.0)
-            return true;  // too small to be discriminative
-        auto x = static_cast<double>(v);
-        return x >= mean * (1.0 - rangeFrac) &&
-               x <= mean * (1.0 + rangeFrac);
-    };
-    return dim_ok(loads_, sig.loads) &&
-           dim_ok(stores_, sig.stores) &&
-           dim_ok(branches_, sig.branches);
 }
 
 namespace

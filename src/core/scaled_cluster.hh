@@ -88,14 +88,6 @@ class ScaledCluster
     /** Does this signature fall inside the cluster's range? */
     bool matches(InstCount insts) const;
 
-    /**
-     * Mix-signature refinement (the paper's future-work direction):
-     * additionally require the load/store/branch counts to fall
-     * within the same +-range of their per-cluster means. Dimensions
-     * whose mean is below a noise floor (32 ops) are exempt.
-     */
-    bool matchesMix(const Signature &sig) const;
-
     /** |signature - centroid|, for closest-centroid tie-breaks. */
     double distance(InstCount insts) const;
 
@@ -130,9 +122,6 @@ class ScaledCluster
     RunningStats insts_;
     RunningStats cycles_;
     RunningStats ipc_;
-    RunningStats loads_;
-    RunningStats stores_;
-    RunningStats branches_;
     RunningStats l1iAcc;
     RunningStats l1iMiss;
     RunningStats l1dAcc;

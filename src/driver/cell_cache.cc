@@ -53,23 +53,13 @@ predictorContext(const PredictorParams &p)
     v.add("audit_mean_tolerance", p.auditMeanTolerance);
     v.add("cluster_range", p.clusterRange);
     v.add("ema_alpha", p.emaAlpha);
-    v.add("use_mix_signature", p.useMixSignature);
+    // The mix-signature flag and the backend name no longer vary,
+    // but they stay in the identity as constants: dropping them
+    // would change every cell key, orphan every stored cell and
+    // change the results document's store section.
+    v.add("use_mix_signature", false);
     v.add("relearn", relearnContext(p.relearn));
-    // Backend + hyperparameters fold into the identity so cached
-    // cells can never alias across backends: two runs differing
-    // only in the prediction strategy must hash to different keys.
-    v.add("backend", predictorBackendName(p.backend));
-    if (p.backend == PredictorBackendKind::Learned) {
-        JsonValue l = JsonValue::object();
-        l.add("learning_rate", p.learned.learningRate);
-        l.add("rate_decay", p.learned.rateDecay);
-        l.add("history_alpha", p.learned.historyAlpha);
-        l.add("cpi_min", p.learned.cpiMin);
-        l.add("cpi_max", p.learned.cpiMax);
-        l.add("outlier_threshold", p.learned.outlierThreshold);
-        l.add("buckets_per_octave", p.learned.bucketsPerOctave);
-        v.add("learned", std::move(l));
-    }
+    v.add("backend", "plt");
     return v;
 }
 

@@ -46,6 +46,19 @@ metricsSnapshotToJson(const MetricsSnapshot &m)
     return v;
 }
 
+namespace
+{
+
+/** A [component, name, value] entry with every leaf of its type. */
+bool
+isEntryTriple(const JsonValue &e)
+{
+    return e.isArray() && e.size() == 3 && e.at(0).isString() &&
+           e.at(1).isString() && e.at(2).isNumber();
+}
+
+} // namespace
+
 bool
 metricsSnapshotFromJson(const JsonValue &v, MetricsSnapshot &m)
 {
@@ -54,10 +67,11 @@ metricsSnapshotFromJson(const JsonValue &v, MetricsSnapshot &m)
     const JsonValue *counters = v.find("counters");
     const JsonValue *gauges = v.find("gauges");
     const JsonValue *histograms = v.find("histograms");
-    if (!counters || !gauges || !histograms)
+    if (!counters || !gauges || !histograms || !counters->isArray() ||
+        !gauges->isArray() || !histograms->isArray())
         return false;
     for (const JsonValue &e : counters->elements()) {
-        if (!e.isArray() || e.size() != 3)
+        if (!isEntryTriple(e))
             return false;
         CounterEntry c;
         c.component = e.at(0).asString();
@@ -66,7 +80,7 @@ metricsSnapshotFromJson(const JsonValue &v, MetricsSnapshot &m)
         m.counters.push_back(std::move(c));
     }
     for (const JsonValue &e : gauges->elements()) {
-        if (!e.isArray() || e.size() != 3)
+        if (!isEntryTriple(e))
             return false;
         GaugeEntry g;
         g.component = e.at(0).asString();
@@ -82,7 +96,9 @@ metricsSnapshotFromJson(const JsonValue &v, MetricsSnapshot &m)
         const JsonValue *count = e.find("count");
         const JsonValue *sum = e.find("sum");
         const JsonValue *buckets = e.find("buckets");
-        if (!component || !name || !count || !sum || !buckets)
+        if (!component || !name || !count || !sum || !buckets ||
+            !component->isString() || !name->isString() ||
+            !count->isNumber() || !sum->isNumber() || !buckets->isArray())
             return false;
         HistogramEntry h;
         h.component = component->asString();
@@ -90,7 +106,8 @@ metricsSnapshotFromJson(const JsonValue &v, MetricsSnapshot &m)
         h.count = count->asUint();
         h.sum = sum->asUint();
         for (const JsonValue &b : buckets->elements()) {
-            if (!b.isArray() || b.size() != 2)
+            if (!b.isArray() || b.size() != 2 || !b.at(0).isNumber() ||
+                !b.at(1).isNumber())
                 return false;
             h.buckets.emplace_back(b.at(0).asUint(),
                                    b.at(1).asUint());

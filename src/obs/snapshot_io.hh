@@ -23,7 +23,8 @@ namespace osp::obs
 JsonValue metricsSnapshotToJson(const MetricsSnapshot &m);
 
 /** Decode into @p m (appending to its vectors); false on any
- *  malformed structure, leaving @p m partially filled. */
+ *  malformed structure or wrong-typed leaf, leaving @p m partially
+ *  filled. */
 bool metricsSnapshotFromJson(const JsonValue &v, MetricsSnapshot &m);
 
 } // namespace osp::obs

@@ -173,11 +173,6 @@ class ServiceController
         /** Per-type invocation index (0-based). */
         std::uint64_t invocation = 0;
         InstCount insts = 0;      //!< the signature
-        /** Instruction mix (populated when wantsOpMix(), or when
-         *  the interval's op stream was consumed anyway). */
-        std::uint64_t loads = 0;
-        std::uint64_t stores = 0;
-        std::uint64_t branches = 0;
         bool detailed = false;    //!< fully simulated?
         Cycles cycles = 0;        //!< valid when detailed
         HierarchyCounts mem;      //!< valid when detailed
@@ -185,12 +180,7 @@ class ServiceController
 
     virtual ~ServiceController() = default;
 
-    /**
-     * Controllers using instruction-mix signatures return true so
-     * the Machine tallies per-class counts even in emulation (it
-     * then always lowers the op stream instead of taking the
-     * analytic-count shortcut).
-     */
+    /** Unused by Machine; kept as perfbench/probe.cpp overrides it. */
     virtual bool wantsOpMix() const { return false; }
 
     /** Choose the detail level for the next invocation of @p type. */

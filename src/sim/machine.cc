@@ -151,11 +151,11 @@ namespace
 
 /**
  * The consumer of a fast-forwarded service's op stream
- * (CodeGenerator::drainInto): op-mix tallies always; branch-predictor
- * warming when @c bp is set; footprint reservoir sampling of data
- * addresses and of every 16th op's pc when the sample vectors are
- * set. Per op, the tallies and warming come first, then the data
- * draw, then the code draw, as the pollution RNG stream requires.
+ * (CodeGenerator::drainInto): branch-predictor warming when @c bp is
+ * set; footprint reservoir sampling of data addresses and of every
+ * 16th op's pc when the sample vectors are set. Per op, the warming
+ * comes first, then the data draw, then the code draw, as the
+ * pollution RNG stream requires.
  */
 struct FastForwardSink
 {
@@ -168,9 +168,6 @@ struct FastForwardSink
     std::vector<Addr> *codeSample;
     Pcg32 *rng;
     std::uint64_t ops = 0;
-    std::uint64_t loads = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t branches = 0;
     std::uint64_t dataSeen = 0;
     std::uint64_t codeSeen = 0;
 
@@ -208,7 +205,6 @@ struct FastForwardSink
     void
     load(Addr pc, Addr addr, std::uint8_t)
     {
-        ++loads;
         data(addr);
         retire(pc);
     }
@@ -216,7 +212,6 @@ struct FastForwardSink
     void
     store(Addr pc, Addr addr, std::uint8_t)
     {
-        ++stores;
         data(addr);
         retire(pc);
     }
@@ -224,7 +219,6 @@ struct FastForwardSink
     void
     branch(Addr pc, bool taken, std::uint8_t)
     {
-        ++branches;
         if (bp)
             bp->predictAndUpdate(pc, taken);
         retire(pc);
@@ -316,10 +310,6 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
         req.type, req.args, totals_.totalInsts(), &gen);
 
     InstCount n = 0;
-    std::uint64_t mix_loads = 0;
-    std::uint64_t mix_stores = 0;
-    std::uint64_t mix_branches = 0;
-    bool need_mix = controller_active && controller->wantsOpMix();
     if (detailed) {
         if constexpr (timing) {
             // The hot learning path: retire the kernel plan in
@@ -328,28 +318,24 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
             MicroOp buf[kMaxBlockOps];
             std::size_t filled;
             while ((filled = gen.nextBlock(buf, kMaxBlockOps)) != 0) {
-                for (std::size_t i = 0; i < filled; ++i) {
+                for (std::size_t i = 0; i < filled; ++i)
                     eng->execute(buf[i], Owner::Os);
-                    mix_loads += buf[i].cls == OpClass::Load;
-                    mix_stores += buf[i].cls == OpClass::Store;
-                    mix_branches += buf[i].cls == OpClass::Branch;
-                }
                 n += filled;
             }
         }
     } else {
-        // Fast-forward. The op stream feeds the footprint sampler,
-        // branch-predictor warming and the op-mix tallies, all
-        // through one sink; with none of them wanted the plan's
-        // size is known analytically, which is the fastest
-        // emulation mode (a fresh generator serves each invocation,
-        // so skipping the lowering perturbs nothing).
+        // Fast-forward. The op stream feeds the footprint sampler
+        // and branch-predictor warming, both through one sink; with
+        // neither wanted the plan's size is known analytically,
+        // which is the fastest emulation mode (a fresh generator
+        // serves each invocation, so skipping the lowering perturbs
+        // nothing).
         const bool footprint =
             config_.pollutionPolicy == PollutionPolicy::Footprint &&
             usesCaches(config_.level) && warmupDone;
         const bool warm_bp = config_.bpWarming && warmupDone &&
                              isDetailed(config_.level);
-        if (!footprint && !warm_bp && !need_mix) {
+        if (!footprint && !warm_bp) {
             n = gen.pendingOps();
             gen.clear();
         } else {
@@ -362,9 +348,6 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
                                  footprint ? &codeSample : nullptr,
                                  &pollutionRng};
             n = gen.drainInto(sink);
-            mix_loads = sink.loads;
-            mix_stores = sink.stores;
-            mix_branches = sink.branches;
         }
     }
     totals_.osInsts += n;
@@ -401,9 +384,6 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
         outcome.type = req.type;
         outcome.invocation = invocation;
         outcome.insts = n;
-        outcome.loads = mix_loads;
-        outcome.stores = mix_stores;
-        outcome.branches = mix_branches;
         outcome.detailed = detailed;
         outcome.cycles = sim_cycles;
         outcome.mem = mem_delta;

@@ -1,12 +1,14 @@
 /** @file Tests for the repository's extensions beyond the paper:
- *  mix signatures, PLT serialization / cross-run reuse, audit
- *  sampling, and adaptive warm-up. */
+ *  PLT serialization / cross-run reuse (including a fail-closed
+ *  profile decoder), audit sampling, and adaptive warm-up. */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/accelerator.hh"
+#include "util/random.hh"
 
 namespace osp
 {
@@ -14,94 +16,52 @@ namespace
 {
 
 ServiceMetrics
-metricsWithMix(InstCount insts, Cycles cycles, std::uint64_t loads,
-               std::uint64_t stores, std::uint64_t branches)
+metrics(InstCount insts, Cycles cycles)
 {
     ServiceMetrics m;
     m.insts = insts;
     m.cycles = cycles;
-    m.loads = loads;
-    m.stores = stores;
-    m.branches = branches;
     m.mem.l2Misses = cycles / 500;
     return m;
 }
 
-TEST(MixSignature, SplitsSameCountDifferentMix)
+std::string
+profileText(const Accelerator &accel)
 {
-    // Two paths: 1000 insts of copy (load/store heavy) vs 1000
-    // insts of scan (load/branch heavy). Count-only merges them;
-    // mix keeps them apart.
-    PerfLookupTable count_only(0.05, 0.0, false);
-    PerfLookupTable with_mix(0.05, 0.0, true);
-    ServiceMetrics copy = metricsWithMix(1000, 4000, 250, 250, 60);
-    ServiceMetrics scan = metricsWithMix(1000, 9000, 330, 40, 200);
-
-    count_only.record(copy);
-    count_only.record(scan);
-    EXPECT_EQ(count_only.numClusters(), 1u);
-
-    with_mix.record(copy);
-    with_mix.record(scan);
-    EXPECT_EQ(with_mix.numClusters(), 2u);
-
-    // Mix-aware lookup resolves to the right behaviour point.
-    const ScaledCluster *hit = with_mix.match(copy.signature());
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->predict().cycles, 4000u);
-    hit = with_mix.match(scan.signature());
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->predict().cycles, 9000u);
+    std::ostringstream oss;
+    accel.saveState(oss);
+    return oss.str();
 }
 
-TEST(MixSignature, SmallDimensionsAreExempt)
-{
-    // Branch counts below the noise floor must not fragment
-    // clusters.
-    PerfLookupTable plt(0.05, 0.0, true);
-    plt.record(metricsWithMix(1000, 4000, 250, 250, 8));
-    plt.record(metricsWithMix(1000, 4100, 250, 250, 16));
-    EXPECT_EQ(plt.numClusters(), 1u);
-}
-
-TEST(MixSignature, PredictorEndToEnd)
+/** A profile saved from an accelerator trained on three services,
+ *  each with three clusters of varied members. */
+std::string
+trainedProfile()
 {
     PredictorParams pp;
     pp.warmupInvocations = 0;
-    pp.learningWindow = 4;
-    pp.useMixSignature = true;
-    ServicePredictor pred(pp);
-    ServiceMetrics copy = metricsWithMix(1000, 4000, 250, 250, 60);
-    ServiceMetrics scan = metricsWithMix(1000, 9000, 330, 40, 200);
-    pred.recordDetailed(copy);
-    pred.recordDetailed(scan);
-    pred.recordDetailed(copy);
-    pred.recordDetailed(scan);
-    bool outlier = true;
-    ServiceMetrics p =
-        pred.predict(copy.signature(), 4, &outlier);
-    EXPECT_FALSE(outlier);
-    EXPECT_EQ(p.cycles, 4000u);
-    p = pred.predict(scan.signature(), 5, &outlier);
-    EXPECT_FALSE(outlier);
-    EXPECT_EQ(p.cycles, 9000u);
-}
-
-TEST(MixSignature, AcceleratorRequestsOpMix)
-{
-    PredictorParams pp;
-    Accelerator plain(pp);
-    EXPECT_FALSE(plain.wantsOpMix());
-    pp.useMixSignature = true;
-    Accelerator mixed(pp);
-    EXPECT_TRUE(mixed.wantsOpMix());
+    pp.learningWindow = 12;
+    Accelerator accel(pp);
+    for (int t = 0; t < 3; ++t) {
+        ServiceController::IntervalOutcome o;
+        o.type = static_cast<ServiceType>(t);
+        o.detailed = true;
+        for (std::uint64_t i = 0; i < 12; ++i) {
+            o.invocation = i;
+            o.insts = 1000 * (1 + i % 3) * (t + 1) + i;
+            o.cycles = 3 * o.insts + 17 * i;
+            o.mem.l1dMisses = i;
+            o.mem.l2Misses = i / 2;
+            accel.onServiceEnd(o);
+        }
+    }
+    return profileText(accel);
 }
 
 TEST(ClusterSnapshot, RoundTripPreservesPrediction)
 {
-    ScaledCluster original(metricsWithMix(1000, 5000, 250, 100, 150),
-                           0.05);
-    original.add(metricsWithMix(1020, 5200, 255, 102, 153));
+    ScaledCluster original(metrics(1000, 5000), 0.05);
+    original.add(metrics(1020, 5200));
     ScaledCluster restored(original.snapshot(), 0.05);
 
     EXPECT_DOUBLE_EQ(restored.centroid(), original.centroid());
@@ -167,6 +127,90 @@ TEST(ProfileSerialization, RejectsGarbage)
     EXPECT_FALSE(accel.loadState(noend));
 }
 
+// A row with no members (count 0) used to load as a cluster that
+// predicts zero cycles, one that could also serve as the
+// closest-cluster fallback.
+TEST(ProfileSerialization, RejectsEmptyClusterRow)
+{
+    Accelerator accel;
+    std::istringstream in("ospredict-profile v1\nservice 0 1\n"
+                          "0 0.5 0 0 0 0 0 0 0 0 0 0\nend\n");
+    EXPECT_FALSE(accel.loadState(in));
+    EXPECT_EQ(profileText(accel), profileText(Accelerator()));
+}
+
+// The declared row count is untrusted. It must never size an
+// allocation (2^64-1 used to throw std::length_error), and a count
+// larger than the rows that follow is a truncated stream.
+TEST(ProfileSerialization, RowCountBeyondRowsFailsWithoutThrowing)
+{
+    const std::string row = "2 1000 0 5000 0 0.2 0 0 0 0 0 0\n";
+    for (const char *count : {"18446744073709551615", "3"}) {
+        SCOPED_TRACE(count);
+        Accelerator accel;
+        std::istringstream in("ospredict-profile v1\nservice 0 " +
+                              std::string(count) + "\n" + row + row +
+                              "end\n");
+        bool ok = true;
+        EXPECT_NO_THROW(ok = accel.loadState(in));
+        EXPECT_FALSE(ok);
+        EXPECT_EQ(profileText(accel), profileText(Accelerator()));
+    }
+}
+
+// A bad later block used to fail only after the blocks before it
+// were restored, so a "rejected" profile was half loaded.
+TEST(ProfileSerialization, FailedLoadLeavesAcceleratorUnchanged)
+{
+    Accelerator accel;
+    std::istringstream good(trainedProfile());
+    ASSERT_TRUE(accel.loadState(good));
+    const std::string before = profileText(accel);
+
+    std::istringstream bad("ospredict-profile v1\n"
+                           "service 3 1\n"
+                           "2 1000 0 5000 0 0.2 0 0 0 0 0 0\n"
+                           "service 4 1\n"
+                           "2 1000 zero\n"
+                           "end\n");
+    EXPECT_FALSE(accel.loadState(bad));
+    EXPECT_EQ(profileText(accel), before);
+}
+
+// Every truncation and 1000 seeded byte flips of a real saved
+// profile: each either loads or is rejected with the accelerator
+// untouched, and none throws (the sanitizer builds run this).
+TEST(ProfileSerialization, MutationsLoadOrLeaveAcceleratorUntouched)
+{
+    const std::string saved = trainedProfile();
+    const std::string fresh = profileText(Accelerator());
+    std::size_t loaded = 0;
+    auto check = [&](const std::string &mutated, std::size_t n) {
+        Accelerator accel;
+        std::istringstream in(mutated);
+        bool ok = false;
+        EXPECT_NO_THROW(ok = accel.loadState(in)) << n;
+        if (ok)
+            ++loaded;
+        else
+            EXPECT_EQ(profileText(accel), fresh) << n;
+    };
+    for (std::size_t len = 0; len < saved.size(); ++len)
+        check(saved.substr(0, len), len);
+    // Only the prefix that drops the final newline is whole.
+    EXPECT_EQ(loaded, 1u);
+    Pcg32 rng(42);
+    for (std::size_t n = 0; n < 1000; ++n) {
+        std::string mutated = saved;
+        std::size_t pos =
+            rng.range(static_cast<std::uint32_t>(saved.size()));
+        mutated[pos] ^= static_cast<char>(1 + rng.range(255));
+        check(mutated, n);
+    }
+    // Flips inside a mean's digits still load.
+    EXPECT_GT(loaded, 1u);
+}
+
 TEST(AuditSampling, SchedulesEveryNth)
 {
     PredictorParams pp;
@@ -175,7 +219,7 @@ TEST(AuditSampling, SchedulesEveryNth)
     pp.auditEvery = 5;
     pp.auditWarmup = 0;  // cadence only; no re-warm runs
     ServicePredictor pred(pp);
-    ServiceMetrics m = metricsWithMix(1000, 5000, 250, 100, 150);
+    ServiceMetrics m = metrics(1000, 5000);
     pred.recordDetailed(m);
     int detailed = 0;
     for (int i = 0; i < 25; ++i)
@@ -191,7 +235,7 @@ TEST(AuditSampling, WarmupBurstPrecedesAudit)
     pp.auditEvery = 3;
     pp.auditWarmup = 2;
     ServicePredictor pred(pp);
-    ServiceMetrics m = metricsWithMix(1000, 5000, 250, 100, 150);
+    ServiceMetrics m = metrics(1000, 5000);
     pred.recordDetailed(m);
     ASSERT_FALSE(pred.wantsDetail());
     // Every 3rd prediction expands to a 3-run detailed burst: two
@@ -201,7 +245,7 @@ TEST(AuditSampling, WarmupBurstPrecedesAudit)
         if (pred.decideDetail()) {
             pred.recordDetailed(m);
         } else {
-            pred.predict(Signature{1000, 250, 100, 150}, i);
+            pred.predict(1000, i);
         }
         if (pred.stats().audits >
             static_cast<std::uint64_t>(audits_seen)) {
@@ -232,18 +276,16 @@ TEST(AuditSampling, DriftTriggersRelearning)
     ServicePredictor pred(pp);
     // Learn a stable behaviour point around 5000 cycles.
     for (int i = 0; i < 4; ++i) {
-        pred.recordDetailed(
-            metricsWithMix(1000, 5000, 250, 100, 150));
+        pred.recordDetailed(metrics(1000, 5000));
     }
     EXPECT_FALSE(pred.wantsDetail());
     // Now the same signature costs 3x: audits must catch it.
     std::uint64_t inv = 4;
     for (int i = 0; i < 20 && !pred.wantsDetail(); ++i) {
         if (pred.decideDetail()) {
-            pred.recordDetailed(
-                metricsWithMix(1000, 15000, 250, 100, 150));
+            pred.recordDetailed(metrics(1000, 15000));
         } else {
-            pred.predict(Signature{1000, 250, 100, 150}, inv);
+            pred.predict(1000, inv);
         }
         ++inv;
     }
@@ -268,16 +310,14 @@ TEST(AuditSampling, StationaryNoiseDoesNotTrigger)
     ServicePredictor pred(pp);
     // Noisy but stationary: cycles alternate widely.
     for (int i = 0; i < 20; ++i) {
-        pred.recordDetailed(metricsWithMix(
-            1000, i % 2 ? 4000 : 6000, 250, 100, 150));
+        pred.recordDetailed(metrics(1000, i % 2 ? 4000 : 6000));
     }
     std::uint64_t inv = 20;
     for (int i = 0; i < 40; ++i) {
         if (pred.decideDetail()) {
-            pred.recordDetailed(metricsWithMix(
-                1000, i % 2 ? 4000 : 6000, 250, 100, 150));
+            pred.recordDetailed(metrics(1000, i % 2 ? 4000 : 6000));
         } else {
-            pred.predict(Signature{1000, 250, 100, 150}, inv);
+            pred.predict(1000, inv);
         }
         ++inv;
     }
@@ -299,8 +339,7 @@ TEST(AuditSampling, SustainedBiasTriggersStatisticalReset)
     // A heavy cluster: 100 members at 5000 cycles. Passing audits
     // fold into it, but 100 stale members pin the mean.
     for (int i = 0; i < 100; ++i) {
-        pred.recordDetailed(
-            metricsWithMix(1000, 5000, 250, 100, 150));
+        pred.recordDetailed(metrics(1000, 5000));
     }
     EXPECT_FALSE(pred.wantsDetail());
     // Behaviour shifts to 5900 cycles (~15% off): inside the 30%
@@ -309,10 +348,9 @@ TEST(AuditSampling, SustainedBiasTriggersStatisticalReset)
     std::uint64_t inv = 100;
     for (int i = 0; i < 100 && !pred.wantsDetail(); ++i) {
         if (pred.decideDetail()) {
-            pred.recordDetailed(
-                metricsWithMix(1000, 5900, 250, 100, 150));
+            pred.recordDetailed(metrics(1000, 5900));
         } else {
-            pred.predict(Signature{1000, 250, 100, 150}, inv);
+            pred.predict(1000, inv);
         }
         ++inv;
     }
@@ -333,16 +371,14 @@ TEST(AuditSampling, StatisticalTriggerCanBeDisabled)
     pp.stabilityWindow = 0;
     ServicePredictor pred(pp);
     for (int i = 0; i < 100; ++i) {
-        pred.recordDetailed(
-            metricsWithMix(1000, 5000, 250, 100, 150));
+        pred.recordDetailed(metrics(1000, 5000));
     }
     std::uint64_t inv = 100;
     for (int i = 0; i < 100 && !pred.wantsDetail(); ++i) {
         if (pred.decideDetail()) {
-            pred.recordDetailed(
-                metricsWithMix(1000, 5900, 250, 100, 150));
+            pred.recordDetailed(metrics(1000, 5900));
         } else {
-            pred.predict(Signature{1000, 250, 100, 150}, inv);
+            pred.predict(1000, inv);
         }
         ++inv;
     }
@@ -364,8 +400,7 @@ TEST(AdaptiveWarmup, ExtendsWhileCpiDrifts)
     while (pred.wantsDetail() && runs < 300) {
         Cycles cycles = 20000 - 90 * std::min<std::uint64_t>(
                                          runs, 200);
-        pred.recordDetailed(
-            metricsWithMix(1000, cycles, 250, 100, 150));
+        pred.recordDetailed(metrics(1000, cycles));
         ++runs;
     }
     // warm-up extended beyond the 10-minimum (plus 5 learning).
@@ -383,8 +418,7 @@ TEST(AdaptiveWarmup, StableCpiEndsAtMinimum)
     ServicePredictor pred(pp);
     std::uint64_t runs = 0;
     while (pred.wantsDetail() && runs < 100) {
-        pred.recordDetailed(
-            metricsWithMix(1000, 5000, 250, 100, 150));
+        pred.recordDetailed(metrics(1000, 5000));
         ++runs;
     }
     EXPECT_EQ(pred.stats().warmupRuns, 12u);

@@ -343,5 +343,115 @@ TEST(ServicePredictor, CoverageReflectsWindowAndTraffic)
     EXPECT_EQ(detailed, 7u);
 }
 
+// Regression: restoreTable() used to reset the mode and phase but
+// leak the audit machinery — a pending audit decision, an
+// in-flight re-warm burst, the consecutive-failure streak and the
+// per-unit CI accumulators all survived into the restored table's
+// new index epoch.
+TEST(ServicePredictorRestore, ClearsPendingAuditAndFailureStreak)
+{
+    PredictorParams p;
+    p.warmupInvocations = 0;
+    p.learningWindow = 1;
+    p.auditEvery = 1;
+    p.auditWarmup = 0;
+    p.auditTriggerCount = 2;
+    ServicePredictor pred(p);
+    pred.recordDetailed(metrics(1000, 5000));
+    ASSERT_FALSE(pred.wantsDetail());
+
+    // One audit failure: streak at 1 of the 2 needed for a reset.
+    ASSERT_TRUE(pred.decideDetail());
+    pred.recordDetailed(metrics(1000, 20000));
+    EXPECT_EQ(pred.stats().auditFailures, 1u);
+    EXPECT_EQ(pred.stats().driftResets, 0u);
+
+    // Second audit now pending...
+    ASSERT_TRUE(pred.decideDetail());
+    // ...when a warm start replaces the table.
+    pred.restoreTable(pred.snapshotTable());
+
+    // The next detailed sample must be an ordinary learning
+    // sample, not the leaked audit — and must not complete the
+    // leaked failure streak into a drift reset.
+    pred.recordDetailed(metrics(1000, 20000));
+    EXPECT_EQ(pred.stats().audits, 1u);
+    EXPECT_EQ(pred.stats().auditFailures, 1u);
+    EXPECT_EQ(pred.stats().driftResets, 0u);
+
+    // The streak itself was cleared: one fresh failure is still
+    // one strike short of a reset.
+    ASSERT_TRUE(pred.decideDetail());
+    pred.recordDetailed(metrics(1000, 90000));
+    EXPECT_EQ(pred.stats().auditFailures, 2u);
+    EXPECT_EQ(pred.stats().driftResets, 0u);
+}
+
+TEST(ServicePredictorRestore, ResetsAuditSchedule)
+{
+    PredictorParams p;
+    p.warmupInvocations = 0;
+    p.learningWindow = 1;
+    p.auditEvery = 2;
+    p.auditWarmup = 0;
+    ServicePredictor pred(p);
+    pred.recordDetailed(metrics(1000, 5000));
+    ASSERT_FALSE(pred.wantsDetail());
+
+    // Half the audit period elapses...
+    ASSERT_FALSE(pred.decideDetail());
+    // ...then the table is replaced. The schedule must restart:
+    // the restored table gets a full period before its first
+    // audit, rather than inheriting the old countdown.
+    pred.restoreTable(pred.snapshotTable());
+    EXPECT_FALSE(pred.decideDetail());
+    EXPECT_TRUE(pred.decideDetail());
+}
+
+// Regression: the audited unit's index used to be derived by
+// pointer arithmetic against the cluster vector's base, computed
+// *after* operations that can reallocate it. The index is now
+// resolved inside the lookup itself, so attribution survives
+// arbitrary table growth between learning and auditing.
+TEST(ServicePredictorLedger, AuditAttributionSurvivesTableGrowth)
+{
+    obs::Telemetry tel;
+    PredictorParams p;
+    p.warmupInvocations = 0;
+    p.learningWindow = 1;
+    p.auditEvery = 1;
+    p.auditWarmup = 0;
+    ServicePredictor pred(p);
+    pred.attachTelemetry(&tel, "predictor.test", 1);
+    pred.recordDetailed(metrics(1000, 5000));  // cluster 0
+    ASSERT_FALSE(pred.wantsDetail());
+
+    // Grow the table by dozens of distinct clusters (forced
+    // detailed runs while predicting), reallocating the vector
+    // several times over.
+    double insts = 4000.0;
+    for (int i = 0; i < 64; ++i) {
+        auto n = static_cast<InstCount>(insts);
+        pred.recordDetailed(metrics(n, 5 * n));
+        insts *= 1.2;
+    }
+    ASSERT_EQ(pred.table().numClusters(), 65u);
+
+    // Audit the original cluster: the ledger must book it under
+    // unit 0, the index resolved at lookup time.
+    ASSERT_TRUE(pred.decideDetail());
+    pred.recordDetailed(metrics(1000, 5000));
+    obs::AccuracySnapshot snap = tel.accuracy.snapshot();
+    bool found = false;
+    for (const obs::AccuracyEntry &e : snap.entries) {
+        if (e.audits == 0)
+            continue;
+        EXPECT_EQ(e.cluster, 0u);
+        EXPECT_EQ(e.auditFailures, 0u);
+        found = true;
+    }
+    EXPECT_TRUE(found);
+}
+
 } // namespace
 } // namespace osp

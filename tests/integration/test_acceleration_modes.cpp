@@ -1,6 +1,6 @@
 /** @file Integration tests for acceleration configurations beyond
- *  the defaults: mix signatures end-to-end, profile warm starts,
- *  detail-level sweeps, and determinism under acceleration. */
+ *  the defaults: profile warm starts, detail-level sweeps, and
+ *  determinism under acceleration. */
 
 #include <gtest/gtest.h>
 
@@ -22,41 +22,6 @@ smallParams()
     pp.warmupInvocations = 40;
     pp.learningWindow = 60;
     return pp;
-}
-
-TEST(MixSignatureIntegration, AccurateOnWebServer)
-{
-    MachineConfig cfg;
-    cfg.seed = 42;
-    auto ref = makeMachine("ab-rand", cfg, 0.4);
-    Cycles full = ref->run().totalCycles();
-
-    auto m = makeMachine("ab-rand", cfg, 0.4);
-    PredictorParams pp = smallParams();
-    pp.useMixSignature = true;
-    Accelerator accel(pp);
-    m->setController(&accel);
-    const RunTotals &t = m->run();
-
-    EXPECT_GT(t.coverage(), 0.2);
-    EXPECT_LT(absError(static_cast<double>(t.totalCycles()),
-                       static_cast<double>(full)),
-              0.15);
-}
-
-TEST(MixSignatureIntegration, InstructionCountsStayExact)
-{
-    MachineConfig cfg;
-    cfg.seed = 42;
-    auto ref = makeMachine("iperf", cfg, 0.3);
-    InstCount full_insts = ref->run().totalInsts();
-
-    auto m = makeMachine("iperf", cfg, 0.3);
-    PredictorParams pp = smallParams();
-    pp.useMixSignature = true;
-    Accelerator accel(pp);
-    m->setController(&accel);
-    EXPECT_EQ(m->run().totalInsts(), full_insts);
 }
 
 TEST(ProfileWarmStart, RaisesCoverageOnSecondRun)
@@ -177,25 +142,6 @@ TEST(Determinism, AcceleratedRunsAreBitIdentical)
                           t.measuredMem.l2Misses);
     };
     EXPECT_EQ(run_once(), run_once());
-}
-
-TEST(Determinism, MixSignatureTogglePreservesFunction)
-{
-    // Mix signatures change which clusters match, but never the
-    // functional execution: instruction counts are identical.
-    auto insts_with = [](bool mix) {
-        MachineConfig cfg;
-        cfg.seed = 7;
-        auto m = makeMachine("ab-seq", cfg, 0.25);
-        PredictorParams pp;
-        pp.warmupInvocations = 20;
-        pp.learningWindow = 30;
-        pp.useMixSignature = mix;
-        Accelerator accel(pp);
-        m->setController(&accel);
-        return m->run().totalInsts();
-    };
-    EXPECT_EQ(insts_with(false), insts_with(true));
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include "obs/metrics.hh"
 #include "obs/snapshot_io.hh"
 #include "util/json.hh"
+#include "util/random.hh"
 
 namespace osp::obs
 {
@@ -87,6 +88,79 @@ TEST(SnapshotIo, MalformedDocumentsDecodeFalse)
         MetricsSnapshot out;
         EXPECT_FALSE(metricsSnapshotFromJson(doc, out)) << text;
     }
+}
+
+// Every truncation and 1000 seeded byte flips of a real encoded
+// snapshot: each mutation parses and decodes or is rejected, and
+// none crashes (the sanitizer builds run this).
+TEST(SnapshotIo, MutationsDecodeOrRejectWithoutCrashing)
+{
+    const std::string bytes =
+        metricsSnapshotToJson(sampleSnapshot()).dump(-1);
+    std::size_t decoded = 0;
+    auto check = [&](const std::string &mutated) {
+        bool ok = false;
+        JsonValue doc = JsonValue::parse(mutated, &ok);
+        MetricsSnapshot out;
+        if (ok && metricsSnapshotFromJson(doc, out)) {
+            ++decoded;
+            (void)metricsSnapshotToJson(out).dump(-1);
+        }
+    };
+    for (std::size_t len = 0; len < bytes.size(); ++len)
+        check(bytes.substr(0, len));
+    EXPECT_EQ(decoded, 0u);  // no strict prefix is a whole document
+    Pcg32 rng(42);
+    for (std::size_t n = 0; n < 1000; ++n) {
+        std::string mutated = bytes;
+        std::size_t pos =
+            rng.range(static_cast<std::uint32_t>(bytes.size()));
+        mutated[pos] ^= static_cast<char>(1 + rng.range(255));
+        check(mutated);
+    }
+    // Flips inside names and digits still decode.
+    EXPECT_GT(decoded, 0u);
+}
+
+// Each leaf of a real encoded snapshot, swapped for a value of the
+// wrong type (a string for a number, a number for a string), must
+// decode false rather than abort in a JsonValue accessor or decode
+// an empty name.
+TEST(SnapshotIo, WrongTypedLeavesDecodeFalse)
+{
+    const std::string bytes =
+        metricsSnapshotToJson(sampleSnapshot()).dump(-1);
+    auto isNumberChar = [](char c) {
+        return (c >= '0' && c <= '9') || c == '-' || c == '+' ||
+               c == '.' || c == 'e' || c == 'E';
+    };
+    std::size_t swapped = 0;
+    for (std::size_t i = 0; i < bytes.size();) {
+        std::size_t end = i;
+        std::string replacement;
+        if (bytes[i] == '"') {
+            end = bytes.find('"', i + 1) + 1;
+            replacement = "7";
+        } else if (isNumberChar(bytes[i])) {
+            while (end < bytes.size() && isNumberChar(bytes[end]))
+                ++end;
+            replacement = "\"x\"";
+        } else {
+            ++i;
+            continue;
+        }
+        std::string mutated = bytes.substr(0, i) + replacement +
+                              bytes.substr(end);
+        i = end;
+        bool ok = false;
+        JsonValue doc = JsonValue::parse(mutated, &ok);
+        if (!ok)
+            continue;  // an object key swapped for a number
+        MetricsSnapshot out;
+        EXPECT_FALSE(metricsSnapshotFromJson(doc, out)) << mutated;
+        ++swapped;
+    }
+    EXPECT_GT(swapped, 10u);
 }
 
 } // namespace
