@@ -26,11 +26,18 @@ A results document that carries `sweep.backends` fails outright:
 only a build from before the learned backend was removed writes
 that field, and its numbers do not belong to this baseline.
 
+Every cell in the accuracy section is a predicting cell and must
+have made at least one prediction: a cell that predicts nothing
+gates nothing.
+
 Regenerate a baseline (after an intentional accuracy change):
 
   ./bench/sweep fig08 --smoke --no-timing --out smoke.json
   ./tools/check_accuracy_baseline.py smoke.json \
       bench/baselines/accuracy_smoke.json --update
+  ./bench/sweep fig13 --smoke --no-timing --out fig13.json
+  ./tools/check_accuracy_baseline.py fig13.json \
+      bench/baselines/accuracy_fig13_smoke.json --update
 """
 
 import argparse
@@ -46,9 +53,14 @@ def fail(msg):
     sys.exit(1)
 
 
-def cell_key(cell):
-    return (cell["workload"], cell["predictor"],
-            cell["l2_bytes"], cell["seed_index"])
+def cell_key(cell, mode):
+    """The baseline key of an accuracy cell. Modes other than
+    `accelerated` join the key, so the accelerated and sampled-accel
+    cells of one workload stay apart; accelerated cells keep the
+    four-part key the existing baselines were written with."""
+    key = (cell["workload"], cell["predictor"],
+           cell["l2_bytes"], cell["seed_index"])
+    return key if mode == "accelerated" else key + (mode,)
 
 
 def distil(doc):
@@ -64,7 +76,13 @@ def distil(doc):
         fail(f"unexpected accuracy schema {acc.get('schema')!r}")
     cells = {}
     for cell in acc["cells"]:
+        mode = doc["cells"][cell["index"]]["config"]["mode"]
+        key = "/".join(map(str, cell_key(cell, mode)))
+        if key in cells:
+            fail(f"two accuracy cells share the key {key}")
         ledger = cell["ledger"]
+        if ledger["predictions"] == 0:
+            fail(f"{key}: predicting cell made no predictions")
         entry = {
             "predictions": ledger["predictions"],
             "audits": ledger["audits"],
@@ -81,7 +99,7 @@ def distil(doc):
             entry["oracle_rel_err"] = oracle["rel_err"]
             if "within_ci" in oracle:
                 entry["within_ci"] = oracle["within_ci"]
-        cells["/".join(map(str, cell_key(cell)))] = entry
+        cells[key] = entry
     # Per-predictor rollups cover every workload in the sweep, not
     # just the cells that accumulated audit samples: a predictor that
     # silently degraded on a workload without audits still moves
