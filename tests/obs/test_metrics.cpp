@@ -72,7 +72,7 @@ TEST(Registry, ReturnsStableInstrumentReferences)
     a.inc(3);
     // Later registrations must not move existing instruments.
     for (int i = 0; i < 64; ++i)
-        reg.counter("c" + std::to_string(i), "n");
+        reg.counter(std::string("c").append(std::to_string(i)), "n");
     Counter &again = reg.counter("machine", "ops");
     EXPECT_EQ(&a, &again);
     EXPECT_EQ(again.value(), 3u);
