@@ -176,6 +176,63 @@ TEST(SampledSweep, SampledCellCodecRoundTripsByteExactly)
     }
 }
 
+/** Each leaf of a real encoded sampled-accel cell, swapped for a
+ *  leaf of the wrong type (a number for a string or bool, a string
+ *  for a number), decodes to nullopt instead of aborting. */
+TEST(SampledSweep, WrongTypedCellLeavesDecodeToNullopt)
+{
+    SweepSpec spec = sampledSpec();
+    std::string bytes;
+    for (const SweepCell &cell : expandSweep(spec)) {
+        if (cell.workload == "du" &&
+            cell.mode == RunMode::SampledAccel) {
+            CellResult r = runCell(spec, cell, 0);
+            ASSERT_FALSE(r.failed);
+            ASSERT_TRUE(r.sample.present);
+            ASSERT_FALSE(r.sample.strata.empty());
+            bytes = encodeCellResult(r);
+        }
+    }
+    ASSERT_FALSE(bytes.empty());
+    ASSERT_TRUE(decodeCellResult(bytes).has_value());
+
+    auto isNumberChar = [](char c) {
+        return (c >= '0' && c <= '9') || c == '-' || c == '+' ||
+               c == '.' || c == 'e' || c == 'E';
+    };
+    std::size_t swapped = 0;
+    for (std::size_t i = 0; i < bytes.size();) {
+        std::size_t end = i;
+        std::string replacement;
+        if (bytes[i] == '"') {
+            end = bytes.find('"', i + 1) + 1;
+            replacement = "7";
+        } else if (bytes.compare(i, 4, "true") == 0 ||
+                   bytes.compare(i, 5, "false") == 0) {
+            end = i + (bytes[i] == 't' ? 4 : 5);
+            replacement = "7";
+        } else if (isNumberChar(bytes[i])) {
+            while (end < bytes.size() && isNumberChar(bytes[end]))
+                ++end;
+            replacement = "\"x\"";
+        } else {
+            ++i;
+            continue;
+        }
+        std::string mutated =
+            bytes.substr(0, i) + replacement + bytes.substr(end);
+        i = end;
+        bool ok = false;
+        JsonValue::parse(mutated, &ok);
+        if (!ok)
+            continue;  // an object key swapped for a number
+        EXPECT_FALSE(decodeCellResult(mutated).has_value())
+            << mutated.substr(0, 200);
+        ++swapped;
+    }
+    EXPECT_GT(swapped, 100u);
+}
+
 TEST(SampledSweep, CellKeySeparatesSampledIdentity)
 {
     // Keys are pure: the cache never touches its directory here.
