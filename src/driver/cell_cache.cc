@@ -99,7 +99,6 @@ machineContext(const MachineConfig &cfg)
     v.add("no_cache_mem_latency", cfg.cpu.noCacheMemLatency);
     v.add("level", static_cast<std::uint64_t>(cfg.level));
     v.add("record_intervals", cfg.recordIntervals);
-    v.add("bp_warming", cfg.bpWarming);
     v.add("block_ops", cfg.blockOps);
     return v;
 }

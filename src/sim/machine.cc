@@ -146,93 +146,6 @@ Machine::publishCacheStats()
     publish("mem.l2", hier.l2());
 }
 
-namespace
-{
-
-/**
- * The consumer of a fast-forwarded service's op stream
- * (CodeGenerator::drainInto): branch-predictor warming when @c bp is
- * set; footprint reservoir sampling of data addresses and of every
- * 16th op's pc when the sample vectors are set. Per op, the warming
- * comes first, then the data draw, then the code draw, as the
- * pollution RNG stream requires.
- */
-struct FastForwardSink
-{
-    static constexpr bool kDepDist = false;
-    static constexpr std::size_t kDataCap = 2048;
-    static constexpr std::size_t kCodeCap = 512;
-
-    GshareBp *bp;
-    std::vector<Addr> *dataSample;
-    std::vector<Addr> *codeSample;
-    Pcg32 *rng;
-    std::uint64_t ops = 0;
-    std::uint64_t dataSeen = 0;
-    std::uint64_t codeSeen = 0;
-
-    /** Reservoir step: keep @p a with probability cap / seen. */
-    void
-    offer(std::vector<Addr> &sample, std::size_t cap,
-          std::uint64_t seen, Addr a)
-    {
-        if (sample.size() < cap) {
-            sample.push_back(a);
-        } else {
-            std::uint32_t j =
-                rng->range(static_cast<std::uint32_t>(seen));
-            if (j < cap)
-                sample[j] = a;
-        }
-    }
-
-    void
-    data(Addr addr)
-    {
-        if (dataSample)
-            offer(*dataSample, kDataCap, ++dataSeen, addr);
-    }
-
-    /** Every op, after its class-specific work. */
-    void
-    retire(Addr pc)
-    {
-        ++ops;
-        if (codeSample && (ops & 15) == 0)
-            offer(*codeSample, kCodeCap, ++codeSeen, pc);
-    }
-
-    void
-    load(Addr pc, Addr addr, std::uint8_t)
-    {
-        data(addr);
-        retire(pc);
-    }
-
-    void
-    store(Addr pc, Addr addr, std::uint8_t)
-    {
-        data(addr);
-        retire(pc);
-    }
-
-    void
-    branch(Addr pc, bool taken, std::uint8_t)
-    {
-        if (bp)
-            bp->predictAndUpdate(pc, taken);
-        retire(pc);
-    }
-
-    void
-    other(Addr pc, OpClass, std::uint8_t, std::uint8_t)
-    {
-        retire(pc);
-    }
-};
-
-} // namespace
-
 template <class EngineT>
 void
 Machine::drainIntoT(EngineT *eng, Owner owner)
@@ -324,31 +237,10 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
             }
         }
     } else {
-        // Fast-forward. The op stream feeds the footprint sampler
-        // and branch-predictor warming, both through one sink; with
-        // neither wanted the plan's size is known analytically,
-        // which is the fastest emulation mode (a fresh generator
-        // serves each invocation, so skipping the lowering perturbs
-        // nothing).
-        const bool footprint =
-            config_.pollutionPolicy == PollutionPolicy::Footprint &&
-            usesCaches(config_.level) && warmupDone;
-        const bool warm_bp = config_.bpWarming && warmupDone &&
-                             isDetailed(config_.level);
-        if (!footprint && !warm_bp) {
-            n = gen.pendingOps();
-            gen.clear();
-        } else {
-            if (footprint) {
-                dataSample.clear();
-                codeSample.clear();
-            }
-            FastForwardSink sink{warm_bp ? &bp : nullptr,
-                                 footprint ? &dataSample : nullptr,
-                                 footprint ? &codeSample : nullptr,
-                                 &pollutionRng};
-            n = gen.drainInto(sink);
-        }
+        // Fast-forward: nothing is lowered. The plan's size is known
+        // analytically, and the footprint pollution model below
+        // draws its lines from the plan's work items.
+        n = gen.pendingOps();
     }
     totals_.osInsts += n;
 
@@ -453,12 +345,18 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
                 break;
               case PollutionPolicy::Footprint:
                 {
-                    // First pass: install the sampled real
-                    // footprint, so the skipped service's own hot
+                    // First pass: install lines drawn from the
+                    // skipped service's work items, so its own hot
                     // state stays resident. Installs that find the
                     // line already cached displace nothing, so a
                     // second pass injects synthetic displacement for
                     // whatever remains of the predicted miss counts.
+                    dataSample.clear();
+                    codeSample.clear();
+                    gen.sampleFootprint(
+                        kFootprintDataCap, pred.mem.l1dMisses,
+                        kFootprintCodeCap, pred.mem.l1iMisses,
+                        pollutionRng, dataSample, codeSample);
                     std::uint64_t l1d_fills = 0;
                     std::uint64_t l1i_fills = 0;
                     std::uint64_t l2_fills = 0;

@@ -58,12 +58,11 @@ enum class PollutionPolicy
     SyntheticInstall,
     /**
      * Footprint-faithful: install predicted-miss-count lines with
-     * *real* addresses reservoir-sampled from the emulated
-     * instruction stream (which the Machine iterates anyway for the
-     * signature), so the skipped service both displaces other
-     * content and keeps its own hot lines resident. Costs
-     * O(predicted misses) per skipped interval — no timing models
-     * involved.
+     * *real* addresses drawn from the skipped service's work items
+     * (CodeGenerator::sampleFootprint), so the skipped service both
+     * displaces other content and keeps its own hot lines resident.
+     * Costs O(predicted misses) per skipped interval: nothing is
+     * lowered and no timing model is involved.
      */
     Footprint,
 };
@@ -91,15 +90,6 @@ struct MachineConfig
      * DESIGN.md and the abl4 bench).
      */
     PollutionPolicy pollutionPolicy = PollutionPolicy::Footprint;
-    /**
-     * Keep updating the branch predictor from emulated OS-service
-     * branches. The (pc, direction) stream is identical in
-     * emulation and detailed simulation, so this reproduces the
-     * full run's predictor state exactly at table-update cost — it
-     * models the OS's pollution of app branch-prediction state,
-     * which the cache-only pollution model misses.
-     */
-    bool bpWarming = true;
     /**
      * User-mode instructions fetched per workload block. The block
      * path amortizes the per-op virtual step() and interrupt polls
@@ -361,7 +351,16 @@ class Machine
     bool warmupDone = false;
     bool running = false;
 
-    /** Footprint-pollution reservoirs (reused across intervals). */
+    /**
+     * Footprint reservoir sizes of a skipped service, data and code
+     * (CodeGenerator::sampleFootprint). Installs take the first
+     * predicted-miss-count slots, cycling through the reservoir when
+     * it holds fewer.
+     */
+    static constexpr std::uint64_t kFootprintDataCap = 2048;
+    static constexpr std::uint64_t kFootprintCodeCap = 512;
+
+    /** Footprint-pollution draws and slots (reused across intervals). */
     Pcg32 pollutionRng;
     std::vector<Addr> dataSample;
     std::vector<Addr> codeSample;
