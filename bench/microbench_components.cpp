@@ -259,27 +259,34 @@ BENCHMARK(BM_MachineInOrderCacheBlock)
 // ---------------------------------------------------------------
 
 /**
- * Best-of-3 seconds per instruction for one fresh machine running
- * @p workload at @p scale to completion.
+ * Seconds per instruction of one fresh machine running @p workload
+ * at @p scale to completion.
  */
+double
+timeOneRun(DetailLevel level, std::uint32_t block_ops,
+           const char *workload, double scale)
+{
+    MachineConfig cfg = bench::paperConfig();
+    cfg.level = level;
+    cfg.blockOps = block_ops;
+    auto machine = makeMachine(workload, cfg, scale);
+    auto t0 = std::chrono::steady_clock::now();
+    InstCount done = machine->run(0).totalInsts();
+    auto t1 = std::chrono::steady_clock::now();
+    double secs = std::chrono::duration<double>(t1 - t0).count();
+    return secs / static_cast<double>(done);
+}
+
+/** Best-of-3 timeOneRun(). */
 double
 timeMachineRun(DetailLevel level, std::uint32_t block_ops,
                const char *workload, double scale)
 {
     double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
-        MachineConfig cfg = bench::paperConfig();
-        cfg.level = level;
-        cfg.blockOps = block_ops;
-        auto machine = makeMachine(workload, cfg, scale);
-        auto t0 = std::chrono::steady_clock::now();
-        InstCount done = machine->run(0).totalInsts();
-        auto t1 = std::chrono::steady_clock::now();
-        double secs =
-            std::chrono::duration<double>(t1 - t0).count();
-        double mips_time = secs / static_cast<double>(done);
-        if (rep == 0 || mips_time < best)
-            best = mips_time;
+        double t = timeOneRun(level, block_ops, workload, scale);
+        if (rep == 0 || t < best)
+            best = t;
     }
     return best;  // seconds per instruction
 }
@@ -368,16 +375,29 @@ runBenchJson(const std::string &path)
     };
 
     std::vector<bench::BenchMetric> metrics;
+    // Block-batched against per-op emulation: five interleaved
+    // pairs after one untimed run (which builds the process-wide
+    // tables), the speedup the median of the per-pair time ratios,
+    // so a slow spell on a shared host lands on both halves of a
+    // pair. Best-of-3 of each loop, timed apart, spread 0.91-1.65
+    // over ten runs against the gate's 1.0 floor.
+    timeOneRun(DetailLevel::Emulate, 256, "gzip", gzip_scale);
+    std::vector<double> block_s, perop_s, block_speedup;
+    for (int pair = 0; pair < 5; ++pair) {
+        double block =
+            timeOneRun(DetailLevel::Emulate, 256, "gzip", gzip_scale);
+        double perop =
+            timeOneRun(DetailLevel::Emulate, 1, "gzip", gzip_scale);
+        block_s.push_back(block);
+        perop_s.push_back(perop);
+        block_speedup.push_back(perop / block);
+    }
     metrics.push_back(
-        {"emulate_block_mips",
-         mips(timeMachineRun(DetailLevel::Emulate, 256,
-                             "gzip", gzip_scale)),
-         "mips"});
+        {"emulate_block_mips", mips(medianOf(block_s)), "mips"});
     metrics.push_back(
-        {"emulate_perop_mips",
-         mips(timeMachineRun(DetailLevel::Emulate, 1,
-                             "gzip", gzip_scale)),
-         "mips"});
+        {"emulate_perop_mips", mips(medianOf(perop_s)), "mips"});
+    metrics.push_back(
+        {"block_speedup", medianOf(block_speedup), "ratio"});
     metrics.push_back(
         {"inorder_cache_mips",
          mips(timeMachineRun(DetailLevel::InOrderCache, 256,

@@ -1,6 +1,7 @@
 #include "hierarchy.hh"
 
 #include <algorithm>
+#include <bit>
 
 namespace osp
 {
@@ -59,14 +60,6 @@ MemoryHierarchy::accessBeyondL1(Addr addr, bool is_write,
     return out;
 }
 
-bool
-MemoryHierarchy::probeL1(Addr addr, AccessType type) const
-{
-    const Cache &l1 =
-        type == AccessType::InstFetch ? l1i_ : l1d_;
-    return l1.probe(addr);
-}
-
 std::uint64_t
 MemoryHierarchy::pollute(std::uint64_t l1i_lines,
                          std::uint64_t l1d_lines,
@@ -80,17 +73,86 @@ MemoryHierarchy::pollute(std::uint64_t l1i_lines,
     return affected;
 }
 
-MemoryHierarchy::InstallOutcome
-MemoryHierarchy::installLine(Addr addr, bool is_code, Owner owner)
+namespace
 {
-    InstallOutcome out;
-    out.l1Fill = (is_code ? l1i_ : l1d_).install(addr, owner);
-    out.l2Fill = l2_.install(addr, owner);
+
+/**
+ * Leave @p tlb as @p want per-slot installs of @p sample, cycled
+ * from slot 0, would (see installFootprint). The last touch of each
+ * slot lies in the final min(want, n) touches, so a backward scan
+ * from the last one meets every page in last-touch order; each set
+ * keeps its first `assoc` distinct pages, which are then installed
+ * oldest first. Sets are independent, so their order does not
+ * matter.
+ */
+void
+replayTlb(Cache &tlb, const std::vector<Addr> &sample,
+          std::uint64_t want)
+{
+    const std::size_t n = sample.size();
+    if (n == 0 || want == 0)
+        return;
+    const std::uint32_t assoc = tlb.assoc();
+    const std::uint32_t set_mask = tlb.numSets() - 1;
+    const int shift = std::countr_zero(tlb.lineBytes());
+    const std::size_t entries =
+        static_cast<std::size_t>(tlb.numSets()) * assoc;
+    // The pages kept per set, most recent first, and how many.
+    std::vector<Addr> pages(entries);
+    std::vector<std::uint32_t> count(tlb.numSets(), 0);
+
+    std::size_t pos = static_cast<std::size_t>((want - 1) % n);
+    std::uint64_t span = std::min<std::uint64_t>(want, n);
+    std::size_t kept = 0;
+    for (std::uint64_t i = 0; i < span && kept < entries; ++i) {
+        Addr page = sample[pos] >> shift;
+        pos = pos ? pos - 1 : n - 1;
+        std::uint32_t set = static_cast<std::uint32_t>(page) & set_mask;
+        Addr *ways = &pages[static_cast<std::size_t>(set) * assoc];
+        std::uint32_t &c = count[set];
+        if (c == assoc || std::find(ways, ways + c, page) != ways + c)
+            continue;
+        ways[c++] = page;
+        ++kept;
+    }
+    for (std::uint32_t set = 0; set < tlb.numSets(); ++set) {
+        const Addr *ways = &pages[static_cast<std::size_t>(set) * assoc];
+        for (std::uint32_t w = count[set]; w-- > 0;)
+            tlb.install(ways[w] << shift, Owner::Os);
+    }
+}
+
+} // namespace
+
+MemoryHierarchy::FootprintFills
+MemoryHierarchy::installFootprint(const std::vector<Addr> &data,
+                                  std::uint64_t data_want,
+                                  const std::vector<Addr> &code,
+                                  std::uint64_t code_want)
+{
+    FootprintFills fills;
+    // Cycle through a sample for @p want installs.
+    auto install = [&](const std::vector<Addr> &sample,
+                       std::uint64_t want, Cache &l1,
+                       std::uint64_t &l1_fills) {
+        if (sample.empty())
+            return;
+        std::size_t k = 0;
+        for (std::uint64_t i = 0; i < want; ++i) {
+            l1_fills += l1.install(sample[k], Owner::Os);
+            fills.l2 += l2_.install(sample[k], Owner::Os);
+            if (++k == sample.size())
+                k = 0;
+        }
+    };
+    install(data, data_want, l1d_, fills.l1d);
+    install(code, code_want, l1i_, fills.l1i);
     // Footprint pollution displaces TLB entries too.
-    Cache *tlb = is_code ? itlb_.get() : dtlb_.get();
-    if (tlb)
-        tlb->install(addr, owner);
-    return out;
+    if (dtlb_)
+        replayTlb(*dtlb_, data, data_want);
+    if (itlb_)
+        replayTlb(*itlb_, code, code_want);
+    return fills;
 }
 
 HierarchyCounts

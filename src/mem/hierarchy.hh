@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "cache.hh"
 #include "util/types.hh"
@@ -124,11 +125,8 @@ class MemoryHierarchy
     explicit MemoryHierarchy(const HierarchyParams &params);
 
     /**
-     * Perform one demand access.
-     *
-     * Defined inline (below the class) so the dominant TLB-hit +
-     * L1-hit chain collapses into the Cache::access header fast
-     * paths at the call site; only misses leave the inlined code.
+     * Perform one demand access: accessL1(), then, on an L1 miss,
+     * accessBeyondL1().
      *
      * @param addr  byte address
      * @param type  fetch / load / store
@@ -138,14 +136,25 @@ class MemoryHierarchy
     AccessOutcome access(Addr addr, AccessType type, Owner owner,
                          Cycles now);
 
+    /**
+     * TLB-and-L1 half of access(). Returns the partial outcome: the
+     * TLB walk penalty and the L1 hit latency, with l1Miss set on an
+     * L1 miss. A hit is then complete; a miss is finished by
+     * accessBeyondL1() with this outcome. Nothing before the L2
+     * depends on the cycle, so a CPU model can look up the L1 first
+     * and only on a miss work out when the request may leave the
+     * core (an MSHR or write-buffer slot), passing that as `now`.
+     *
+     * Defined inline (below the class) so the dominant TLB-hit +
+     * L1-hit chain collapses into the Cache::access header fast
+     * paths at the call site; only misses leave the inlined code.
+     */
+    AccessOutcome accessL1(Addr addr, AccessType type, Owner owner);
+
     /** L2-and-beyond half of access(), taken on an L1 miss. */
     AccessOutcome accessBeyondL1(Addr addr, bool is_write,
                                  Owner owner, Cycles now,
                                  AccessOutcome out);
-
-    /** Would this access hit in its L1? (No state change; used by
-     *  CPU models to decide MSHR admission before accessing.) */
-    bool probeL1(Addr addr, AccessType type) const;
 
     /**
      * Functional-warming access: update TLB/L1/L2 contents (and the
@@ -172,19 +181,35 @@ class MemoryHierarchy
                           Cache::PollutionMode mode =
                               Cache::PollutionMode::Install);
 
-    /** Fill outcome of installLine(). */
-    struct InstallOutcome
+    /** Lines installFootprint() filled (were not resident), per
+     *  cache. */
+    struct FootprintFills
     {
-        bool l1Fill = false;
-        bool l2Fill = false;
+        std::uint64_t l1d = 0;
+        std::uint64_t l1i = 0;
+        std::uint64_t l2 = 0;
     };
 
     /**
-     * Footprint-faithful pollution: silently make one address a
-     * skipped OS service touched resident in the right L1 and the
-     * L2 (see Cache::install).
+     * Footprint-faithful pollution: silently make the lines a
+     * skipped OS service touched resident (see Cache::install), on
+     * behalf of the OS. The data sample is cycled through for
+     * @p data_want installs into the L1D and the L2, slot by slot,
+     * then the code sample for @p code_want installs into the L1I
+     * and the L2.
+     *
+     * The TLBs end as if each of those installs had also installed
+     * its page, but get at most one install per TLB entry: an LRU
+     * set ends holding its last `assoc` distinct pages in last-touch
+     * order, whatever came before them, so only those are replayed.
+     * That is exact for everything the simulator reads of a TLB
+     * (which pages are resident and their LRU order). Its install
+     * statistics and line owners are not kept and not read.
      */
-    InstallOutcome installLine(Addr addr, bool is_code, Owner owner);
+    FootprintFills installFootprint(const std::vector<Addr> &data,
+                                    std::uint64_t data_want,
+                                    const std::vector<Addr> &code,
+                                    std::uint64_t code_want);
 
     /** Total (both-owner) counter snapshot, for interval deltas. */
     HierarchyCounts counts() const;
@@ -219,8 +244,7 @@ class MemoryHierarchy
 };
 
 inline AccessOutcome
-MemoryHierarchy::access(Addr addr, AccessType type, Owner owner,
-                        Cycles now)
+MemoryHierarchy::accessL1(Addr addr, AccessType type, Owner owner)
 {
     AccessOutcome out;
     bool is_fetch = (type == AccessType::InstFetch);
@@ -239,13 +263,20 @@ MemoryHierarchy::access(Addr addr, AccessType type, Owner owner,
         }
     }
 
-    auto l1_res = l1.access(addr, is_write, owner);
+    out.l1Miss = !l1.access(addr, is_write, owner).hit;
     out.latency += l1_lat;
-    if (l1_res.hit)
-        return out;
+    return out;
+}
 
-    out.l1Miss = true;
-    return accessBeyondL1(addr, is_write, owner, now, out);
+inline AccessOutcome
+MemoryHierarchy::access(Addr addr, AccessType type, Owner owner,
+                        Cycles now)
+{
+    AccessOutcome out = accessL1(addr, type, owner);
+    if (!out.l1Miss)
+        return out;
+    return accessBeyondL1(addr, type == AccessType::Store, owner,
+                          now, out);
 }
 
 inline void

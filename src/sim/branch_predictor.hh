@@ -46,14 +46,13 @@ class GshareBp
         std::uint8_t &ctr = counters[idx];
         bool correct = (ctr >= 2) == taken;
 
+        // Branch-free: the outcome is what the caller could not
+        // predict, so branching on it here would mispredict too.
         ++lookups_;
-        if (!correct)
-            ++mispredicts_;
-
-        if (taken && ctr < 3)
-            ++ctr;
-        else if (!taken && ctr > 0)
-            --ctr;
+        mispredicts_ += !correct;
+        std::uint8_t up = ctr + (ctr < 3);
+        std::uint8_t down = ctr - (ctr > 0);
+        ctr = taken ? up : down;
 
         history = ((history << 1) | (taken ? 1u : 0u)) & mask;
         return correct;

@@ -98,10 +98,9 @@ InOrderCpu::execute(const MicroOp &op, Owner owner)
         }
       case OpClass::Store:
         if (hier) {
-            if (hier->probeL1(op.effAddr, AccessType::Store)) {
-                hier->access(op.effAddr, AccessType::Store, owner,
-                             now_);
-            } else {
+            auto out = hier->accessL1(op.effAddr, AccessType::Store,
+                                      owner);
+            if (out.l1Miss) {
                 // Store miss: take a write-buffer slot; stall only
                 // when every slot is still busy.
                 std::size_t best = 0;
@@ -112,8 +111,8 @@ InOrderCpu::execute(const MicroOp &op, Owner owner)
                 }
                 Cycles start =
                     std::max(now_, storeBusyUntil[best]);
-                auto out = hier->access(
-                    op.effAddr, AccessType::Store, owner, start);
+                out = hier->accessBeyondL1(op.effAddr, true, owner,
+                                           start, out);
                 storeBusyUntil[best] = start + out.latency;
                 now_ = start;
             }

@@ -357,41 +357,20 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
                         kFootprintDataCap, pred.mem.l1dMisses,
                         kFootprintCodeCap, pred.mem.l1iMisses,
                         pollutionRng, dataSample, codeSample);
-                    std::uint64_t l1d_fills = 0;
-                    std::uint64_t l1i_fills = 0;
-                    std::uint64_t l2_fills = 0;
-                    // Cycle through a sample for @p want installs.
-                    auto install = [&](const std::vector<Addr> &sample,
-                                       std::uint64_t want, bool is_code,
-                                       std::uint64_t &l1_fills) {
-                        if (sample.empty())
-                            return;
-                        std::size_t k = 0;
-                        for (std::uint64_t i = 0; i < want; ++i) {
-                            auto out = hier.installLine(
-                                sample[k], is_code, Owner::Os);
-                            l1_fills += out.l1Fill;
-                            l2_fills += out.l2Fill;
-                            if (++k == sample.size())
-                                k = 0;
-                        }
-                    };
-                    install(dataSample, pred.mem.l1dMisses, false,
-                            l1d_fills);
-                    install(codeSample, pred.mem.l1iMisses, true,
-                            l1i_fills);
+                    auto fp = hier.installFootprint(
+                        dataSample, pred.mem.l1dMisses, codeSample,
+                        pred.mem.l1iMisses);
                     auto rest = [](std::uint64_t want,
                                    std::uint64_t got) {
                         return want > got ? want - got : 0;
                     };
-                    std::uint64_t fills =
-                        l1i_fills + l1d_fills + l2_fills;
+                    std::uint64_t fills = fp.l1i + fp.l1d + fp.l2;
                     if (cFootprintFills_)
                         cFootprintFills_->inc(fills);
                     affected = fills + hier.pollute(
-                        rest(pred.mem.l1iMisses, l1i_fills),
-                        rest(pred.mem.l1dMisses, l1d_fills),
-                        rest(pred.mem.l2Misses, l2_fills),
+                        rest(pred.mem.l1iMisses, fp.l1i),
+                        rest(pred.mem.l1dMisses, fp.l1d),
+                        rest(pred.mem.l2Misses, fp.l2),
                         Cache::PollutionMode::Install);
                 }
                 break;

@@ -33,10 +33,15 @@ OooCpu::producerReady(std::uint32_t dist, Cycles dflt) const
 std::size_t
 OooCpu::earliestMshr() const
 {
+    // Conditional moves: which MSHR frees first depends on the data,
+    // so as a branch it mispredicts.
     std::size_t best = 0;
+    Cycles soonest = mshrBusyUntil[0];
     for (std::size_t i = 1; i < mshrBusyUntil.size(); ++i) {
-        if (mshrBusyUntil[i] < mshrBusyUntil[best])
-            best = i;
+        Cycles t = mshrBusyUntil[i];
+        bool earlier = t < soonest;
+        soonest = earlier ? t : soonest;
+        best = earlier ? i : best;
     }
     return best;
 }
@@ -46,15 +51,19 @@ OooCpu::execute(const MicroOp &op, Owner owner)
 {
     ++insts;
 
+    // The per-op bookkeeping below uses conditional moves where the
+    // outcome depends on the data (stalls, roll-overs, mispredicts):
+    // as branches they mispredict often enough to dominate the cost
+    // of the arithmetic they guard.
+
     // Reorder-buffer occupancy: the slot this op will take frees at
     // the commit time of the op windowSize earlier.
     std::uint64_t idx = seq % params.windowSize;
     if (seq >= intervalSeq + params.windowSize) {
         Cycles slot_free = rob[idx].commit;
-        if (fetchCycle < slot_free) {
-            fetchCycle = slot_free;
-            fetchedThisCycle = 0;
-        }
+        bool stall = fetchCycle < slot_free;
+        fetchCycle = stall ? slot_free : fetchCycle;
+        fetchedThisCycle = stall ? 0 : fetchedThisCycle;
     }
 
     // Instruction fetch: one cache access per new 64B line.
@@ -73,11 +82,9 @@ OooCpu::execute(const MicroOp &op, Owner owner)
     }
 
     // Fetch/issue bandwidth.
-    if (fetchedThisCycle >= params.issueWidth) {
-        fetchCycle += 1;
-        fetchedThisCycle = 0;
-    }
-    ++fetchedThisCycle;
+    bool roll = fetchedThisCycle >= params.issueWidth;
+    fetchCycle += roll;
+    fetchedThisCycle = roll ? 1 : fetchedThisCycle + 1;
     Cycles dispatch = fetchCycle;
 
     Cycles dep_ready = producerReady(op.depDist, dispatch);
@@ -92,23 +99,21 @@ OooCpu::execute(const MicroOp &op, Owner owner)
         {
             Cycles issue = std::max(dispatch, dep_ready);
             if (hier) {
-                if (hier->probeL1(op.effAddr, AccessType::Load)) {
-                    auto out = hier->access(
-                        op.effAddr, AccessType::Load, owner, issue);
-                    ready = issue + out.latency;
-                } else {
+                auto out = hier->accessL1(op.effAddr,
+                                          AccessType::Load, owner);
+                Cycles start = issue;
+                if (out.l1Miss) {
                     // Long-latency miss: admission into an MSHR
                     // gates the request (and, transitively, the
                     // bus), so a saturated memory system
                     // back-pressures the core.
                     std::size_t m = earliestMshr();
-                    Cycles start =
-                        std::max(issue, mshrBusyUntil[m]);
-                    auto out = hier->access(
-                        op.effAddr, AccessType::Load, owner, start);
+                    start = std::max(issue, mshrBusyUntil[m]);
+                    out = hier->accessBeyondL1(op.effAddr, false,
+                                               owner, start, out);
                     mshrBusyUntil[m] = start + out.latency;
-                    ready = start + out.latency;
                 }
+                ready = start + out.latency;
             } else {
                 ready = issue + params.noCacheMemLatency;
             }
@@ -119,10 +124,9 @@ OooCpu::execute(const MicroOp &op, Owner owner)
             Cycles issue = std::max(dispatch, dep_ready);
             ready = issue + 1;
             if (hier) {
-                if (hier->probeL1(op.effAddr, AccessType::Store)) {
-                    hier->access(op.effAddr, AccessType::Store,
-                                 owner, issue);
-                } else {
+                auto out = hier->accessL1(op.effAddr,
+                                          AccessType::Store, owner);
+                if (out.l1Miss) {
                     // A store miss occupies an MSHR like a load;
                     // the store retires once admitted (write
                     // buffer), hiding the fill latency but not
@@ -130,9 +134,8 @@ OooCpu::execute(const MicroOp &op, Owner owner)
                     std::size_t m = earliestMshr();
                     Cycles start =
                         std::max(issue, mshrBusyUntil[m]);
-                    auto out = hier->access(
-                        op.effAddr, AccessType::Store, owner,
-                        start);
+                    out = hier->accessBeyondL1(op.effAddr, true,
+                                               owner, start, out);
                     mshrBusyUntil[m] = start + out.latency;
                     ready = start + 1;
                 }
@@ -143,28 +146,23 @@ OooCpu::execute(const MicroOp &op, Owner owner)
       default:
         ready = std::max(dispatch, dep_ready) + 1;
         if (bp) {
+            // Redirect fetch once a mispredicted branch resolves.
             bool correct = bp->predictAndUpdate(op.pc, op.taken);
-            if (!correct) {
-                // Redirect fetch once the branch resolves.
-                fetchCycle = ready + params.mispredictPenalty;
-                fetchedThisCycle = 0;
-            }
+            Cycles redirect = ready + params.mispredictPenalty;
+            fetchCycle = correct ? fetchCycle : redirect;
+            fetchedThisCycle = correct ? fetchedThisCycle : 0;
         }
         break;
     }
 
-    // In-order commit under the retire-width constraint.
-    Cycles commit = std::max(ready, lastCommit);
-    if (commit == lastCommit) {
-        if (committedThisCycle >= params.retireWidth) {
-            commit += 1;
-            committedThisCycle = 1;
-        } else {
-            ++committedThisCycle;
-        }
-    } else {
-        committedThisCycle = 1;
-    }
+    // In-order commit under the retire-width constraint: an op that
+    // commits in the cycle of the previous one takes the next retire
+    // slot, or rolls over to the following cycle when none is left.
+    bool same_cycle = ready <= lastCommit;
+    bool full = same_cycle && committedThisCycle >= params.retireWidth;
+    Cycles commit = std::max(ready, lastCommit) + full;
+    committedThisCycle =
+        same_cycle && !full ? committedThisCycle + 1 : 1;
     lastCommit = commit;
 
     rob[idx].ready = ready;

@@ -117,21 +117,33 @@ TEST(Hierarchy, PerOwnerCounts)
     EXPECT_EQ(app.l1dMisses, 1u);
 }
 
-TEST(Hierarchy, ProbeL1MatchesResidency)
+TEST(Hierarchy, AccessL1ReportsHitOrMiss)
 {
     MemoryHierarchy h(tinyParams());
-    EXPECT_FALSE(h.probeL1(0x5000, AccessType::Load));
-    h.access(0x5000, AccessType::Load, Owner::App, 0);
-    EXPECT_TRUE(h.probeL1(0x5000, AccessType::Load));
-    EXPECT_FALSE(h.probeL1(0x5000, AccessType::InstFetch));
+    auto cold = h.accessL1(0x5000, AccessType::Load, Owner::App);
+    EXPECT_TRUE(cold.l1Miss);
+    EXPECT_TRUE(cold.tlbMiss);
+    EXPECT_EQ(cold.latency,
+              h.params().tlbMissPenalty + h.params().l1dHitLatency);
+    // The L1 lookup allocates: the L2 has not been asked yet.
+    EXPECT_EQ(h.counts().l2Accesses, 0u);
+    auto warm = h.accessL1(0x5000, AccessType::Load, Owner::App);
+    EXPECT_FALSE(warm.l1Miss);
+    EXPECT_FALSE(warm.tlbMiss);
+    EXPECT_EQ(warm.latency, h.params().l1dHitLatency);
+    // Instruction fetches look up the other L1.
+    auto fetch = h.accessL1(0x5000, AccessType::InstFetch, Owner::App);
+    EXPECT_TRUE(fetch.l1Miss);
 }
 
 TEST(Hierarchy, InstallLineResidency)
 {
     MemoryHierarchy h(tinyParams());
-    auto out = h.installLine(0x7000, false, Owner::Os);
-    EXPECT_TRUE(out.l1Fill);
-    EXPECT_TRUE(out.l2Fill);
+    std::vector<Addr> data{0x7000};
+    auto fills = h.installFootprint(data, 1, {}, 0);
+    EXPECT_EQ(fills.l1d, 1u);
+    EXPECT_EQ(fills.l1i, 0u);
+    EXPECT_EQ(fills.l2, 1u);
     // Installs do not perturb demand statistics.
     EXPECT_EQ(h.counts().l1dAccesses, 0u);
     // But the line is resident: a demand access hits.
@@ -223,9 +235,14 @@ TEST(HierarchyTlb, FootprintInstallWarmsTlb)
     HierarchyParams p = tinyParams();
     p.tlbEntries = 8;
     MemoryHierarchy h(p);
-    h.installLine(0x9000, false, Owner::Os);
+    std::vector<Addr> data{0x9000};
+    std::vector<Addr> code{0xa000};
+    h.installFootprint(data, 1, code, 1);
     auto res = h.access(0x9000, AccessType::Load, Owner::App, 0);
     EXPECT_FALSE(res.tlbMiss);
+    auto fetch =
+        h.access(0xa000, AccessType::InstFetch, Owner::App, 0);
+    EXPECT_FALSE(fetch.tlbMiss);
 }
 
 TEST(HierarchyPrefetch, NextLinePrefetchFillsL2)
